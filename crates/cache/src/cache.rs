@@ -28,26 +28,23 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use ecmas_core::error::CompileError;
-use ecmas_core::session::{CacheInfo, CacheSource, CompileOutcome, MapArtifact, ProfileArtifact};
+use ecmas_core::session::{CacheInfo, CacheSource, CompileOutcome};
 
 use crate::key::CompileKey;
 use crate::lru::Lru;
 
-/// Compile-cache sizing and feature knobs.
+/// Compile-cache sizing.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
-    /// Estimated-byte budget for resident entries (full results and stage
-    /// artifacts share it). The resident total never exceeds this.
+    /// Estimated-byte budget for resident full results. The resident
+    /// total never exceeds this.
     pub byte_budget: u64,
-    /// Whether to store and serve stage artifacts (profile/map) in
-    /// addition to full results.
-    pub stage_artifacts: bool,
 }
 
 impl Default for CacheConfig {
-    /// 64 MiB with stage artifacts on — the `ecmasd` daemon default.
+    /// 64 MiB — the `ecmasd` daemon default.
     fn default() -> Self {
-        CacheConfig { byte_budget: 64 * 1024 * 1024, stage_artifacts: true }
+        CacheConfig { byte_budget: 64 * 1024 * 1024 }
     }
 }
 
@@ -58,7 +55,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Full-result misses (each started one real compile).
     pub misses: u64,
-    /// Stage-artifact (profile/map) reuses.
+    /// Always 0: only full results are cached. Kept for the `stats`
+    /// schema.
     pub stage_hits: u64,
     /// Entries evicted by the byte budget.
     pub evictions: u64,
@@ -66,14 +64,8 @@ pub struct CacheStats {
     pub resident_bytes: u64,
     /// Requests that waited on an identical in-flight compile.
     pub coalesced_waits: u64,
-    /// Entries currently resident (full results + stage artifacts).
+    /// Full results currently resident.
     pub entries: usize,
-}
-
-enum Value {
-    Full(Arc<CompileOutcome>),
-    Profile(Arc<ProfileArtifact>),
-    Map(Arc<MapArtifact>),
 }
 
 enum FlightState {
@@ -88,11 +80,10 @@ struct Flight {
 }
 
 struct Inner {
-    lru: Lru<Value>,
+    lru: Lru<Arc<CompileOutcome>>,
     inflight: HashMap<CompileKey, Arc<Flight>>,
     hits: u64,
     misses: u64,
-    stage_hits: u64,
     coalesced_waits: u64,
 }
 
@@ -152,7 +143,6 @@ impl CompileCache {
                 inflight: HashMap::new(),
                 hits: 0,
                 misses: 0,
-                stage_hits: 0,
                 coalesced_waits: 0,
             }),
         })
@@ -169,7 +159,7 @@ impl CompileCache {
     #[must_use]
     pub fn begin(self: &Arc<Self>, key: CompileKey) -> Begin {
         let mut inner = self.lock();
-        if let Some(Value::Full(outcome)) = inner.lru.get(&key) {
+        if let Some(outcome) = inner.lru.get(&key) {
             let outcome = Arc::clone(outcome);
             inner.hits += 1;
             return Begin::Hit(outcome);
@@ -184,52 +174,6 @@ impl CompileCache {
         inner.inflight.insert(key, Arc::clone(&flight));
         inner.misses += 1;
         Begin::Lead(LeadGuard { cache: Arc::clone(self), key, flight, resolved: false })
-    }
-
-    /// A cached profile artifact, if stage artifacts are enabled.
-    #[must_use]
-    pub fn get_profile(&self, key: CompileKey) -> Option<Arc<ProfileArtifact>> {
-        if !self.config.stage_artifacts {
-            return None;
-        }
-        let mut inner = self.lock();
-        if let Some(Value::Profile(artifact)) = inner.lru.get(&key) {
-            let artifact = Arc::clone(artifact);
-            inner.stage_hits += 1;
-            return Some(artifact);
-        }
-        None
-    }
-
-    /// Stores a profile artifact (no-op when stage artifacts are off).
-    pub fn put_profile(&self, key: CompileKey, artifact: Arc<ProfileArtifact>) {
-        if self.config.stage_artifacts {
-            let cost = artifact.estimated_bytes();
-            self.lock().lru.insert(key, Value::Profile(artifact), cost);
-        }
-    }
-
-    /// A cached map artifact, if stage artifacts are enabled.
-    #[must_use]
-    pub fn get_map(&self, key: CompileKey) -> Option<Arc<MapArtifact>> {
-        if !self.config.stage_artifacts {
-            return None;
-        }
-        let mut inner = self.lock();
-        if let Some(Value::Map(artifact)) = inner.lru.get(&key) {
-            let artifact = Arc::clone(artifact);
-            inner.stage_hits += 1;
-            return Some(artifact);
-        }
-        None
-    }
-
-    /// Stores a map artifact (no-op when stage artifacts are off).
-    pub fn put_map(&self, key: CompileKey, artifact: Arc<MapArtifact>) {
-        if self.config.stage_artifacts {
-            let cost = artifact.estimated_bytes();
-            self.lock().lru.insert(key, Value::Map(artifact), cost);
-        }
     }
 
     /// Chaos hook: drops the resident entry for `key`, if any. In-flight
@@ -250,7 +194,7 @@ impl CompileCache {
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
-            stage_hits: inner.stage_hits,
+            stage_hits: 0,
             evictions: inner.lru.evictions(),
             resident_bytes: inner.lru.resident_bytes(),
             coalesced_waits: inner.coalesced_waits,
@@ -307,7 +251,7 @@ impl LeadGuard {
         let cost = estimate_outcome_bytes(&shared);
         {
             let mut inner = self.cache.lock();
-            inner.lru.insert(self.key, Value::Full(Arc::clone(&shared)), cost);
+            inner.lru.insert(self.key, Arc::clone(&shared), cost);
             inner.inflight.remove(&self.key);
         }
         self.resolve(FlightState::Done(Ok(Arc::clone(&shared))));
@@ -482,20 +426,6 @@ mod tests {
             _ => panic!("follower must see the shared error"),
         }
         assert!(matches!(cache.begin(key), Begin::Lead(_)), "errors are not cached");
-        assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn stage_artifacts_can_be_disabled() {
-        let cache =
-            CompileCache::new(CacheConfig { stage_artifacts: false, ..CacheConfig::default() });
-        let mut c = Circuit::new(2);
-        c.cnot(0, 1);
-        let chip = Chip::min_viable(CodeModel::LatticeSurgery, 2, 3).unwrap();
-        let profiled = Ecmas::default().session(&c, &chip).unwrap();
-        let key = crate::key::profile_key(&c);
-        cache.put_profile(key, Arc::new(profiled.artifact()));
-        assert!(cache.get_profile(key).is_none());
         assert_eq!(cache.stats().entries, 0);
     }
 }

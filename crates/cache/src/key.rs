@@ -7,17 +7,11 @@
 //! passes push the birthday bound far past any realistic workload, with
 //! no new dependency.
 //!
-//! Three key spaces share the type, separated by a leading kind tag so a
-//! profile key can never alias a full-result key:
+//! Two key spaces share the type, separated by a leading kind tag so a
+//! fleet key can never alias a full-result key:
 //!
 //! * **full** — (circuit, chip, complete [`EcmasConfig`], schedule mode):
 //!   addresses a finished `CompileOutcome`.
-//! * **profile** — (circuit only): profiling never reads the chip or
-//!   config, so one profile artifact serves every chip and config.
-//! * **map** — (circuit, chip, mapping-relevant config knobs): a map
-//!   artifact is valid across schedule-only config changes
-//!   (`order`, `cut_policy`, `adjust_bandwidth`) but pinned to
-//!   `location` and `cut_init`.
 //! * **fleet** — (circuit, every candidate chip in insertion order,
 //!   complete [`EcmasConfig`], schedule mode): addresses the outcome of
 //!   heterogeneous target selection over a [`ChipFleet`]. Candidate
@@ -32,9 +26,7 @@
 use ecmas_chip::Chip;
 use ecmas_circuit::Circuit;
 use ecmas_core::compiler::{ChipFleet, EcmasConfig};
-use ecmas_core::stable::{
-    write_chip, write_circuit, write_config, write_mapping_config, StableHasher, FNV_ALT_BASIS,
-};
+use ecmas_core::stable::{write_chip, write_circuit, write_config, StableHasher, FNV_ALT_BASIS};
 
 /// A 128-bit content-addressed cache key (two independent FNV-1a passes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -53,9 +45,9 @@ pub(crate) fn test_key(a: u64, b: u64) -> CompileKey {
     CompileKey(a, b)
 }
 
+// Each tag is hashed into every key of its space, so a value never
+// changes once keys exist (1 and 2 are unused).
 const KIND_FULL: u8 = 0;
-const KIND_PROFILE: u8 = 1;
-const KIND_MAP: u8 = 2;
 const KIND_FLEET: u8 = 3;
 
 fn derive(write: impl Fn(&mut StableHasher)) -> CompileKey {
@@ -77,27 +69,6 @@ pub fn full_key(circuit: &Circuit, chip: &Chip, config: &EcmasConfig, mode: &str
         write_chip(h, chip);
         write_config(h, config);
         h.write_str(mode);
-    })
-}
-
-/// The key of a cached profile artifact: the circuit alone.
-#[must_use]
-pub fn profile_key(circuit: &Circuit) -> CompileKey {
-    derive(|h| {
-        h.write_u8(KIND_PROFILE);
-        write_circuit(h, circuit);
-    })
-}
-
-/// The key of a cached map artifact: circuit, chip, and the
-/// mapping-relevant config knobs only.
-#[must_use]
-pub fn map_key(circuit: &Circuit, chip: &Chip, config: &EcmasConfig) -> CompileKey {
-    derive(|h| {
-        h.write_u8(KIND_MAP);
-        write_circuit(h, circuit);
-        write_chip(h, chip);
-        write_mapping_config(h, config);
     })
 }
 
@@ -140,19 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn key_spaces_do_not_alias() {
-        let c = circuit();
-        let chip = Chip::min_viable(CodeModel::LatticeSurgery, 4, 3).unwrap();
-        let cfg = EcmasConfig::default();
-        let full = full_key(&c, &chip, &cfg, "auto");
-        let profile = profile_key(&c);
-        let map = map_key(&c, &chip, &cfg);
-        assert_ne!(full, profile);
-        assert_ne!(full, map);
-        assert_ne!(profile, map);
-    }
-
-    #[test]
     fn full_key_sees_every_input() {
         let c = circuit();
         let chip = Chip::min_viable(CodeModel::LatticeSurgery, 4, 3).unwrap();
@@ -166,28 +124,15 @@ mod tests {
         let wide = Chip::four_x(CodeModel::LatticeSurgery, 4, 3).unwrap();
         assert_ne!(base, full_key(&c, &wide, &cfg, "auto"));
 
+        // Schedule-only knobs are compile inputs too.
         let cfg2 = EcmasConfig { order: GateOrder::CircuitOrder, ..cfg };
         assert_ne!(base, full_key(&c, &chip, &cfg2, "auto"));
+        let cfg3 = EcmasConfig { cut_policy: CutPolicy::NeverModify, ..cfg };
+        assert_ne!(base, full_key(&c, &chip, &cfg3, "auto"));
+        let cfg4 = EcmasConfig { adjust_bandwidth: false, ..cfg };
+        assert_ne!(base, full_key(&c, &chip, &cfg4, "auto"));
 
         assert_ne!(base, full_key(&c, &chip, &cfg, "limited"));
-    }
-
-    #[test]
-    fn map_key_ignores_schedule_only_knobs() {
-        let c = circuit();
-        let chip = Chip::min_viable(CodeModel::DoubleDefect, 4, 3).unwrap();
-        let cfg = EcmasConfig::default();
-        let sched_only = EcmasConfig {
-            order: GateOrder::CircuitOrder,
-            cut_policy: CutPolicy::NeverModify,
-            adjust_bandwidth: false,
-            ..cfg
-        };
-        assert_eq!(map_key(&c, &chip, &cfg), map_key(&c, &chip, &sched_only));
-        assert_ne!(
-            full_key(&c, &chip, &cfg, "limited"),
-            full_key(&c, &chip, &sched_only, "limited")
-        );
     }
 
     #[test]
@@ -203,7 +148,6 @@ mod tests {
             .with_defects(&[])
             .unwrap();
         assert_eq!(base, full_key(&c, &masked_clean, &cfg, "auto"));
-        assert_eq!(map_key(&c, &uniform, &cfg), map_key(&c, &masked_clean, &cfg));
 
         // Distinct defect masks are distinct hardware: distinct keys.
         let dead_a = Chip::uniform(CodeModel::LatticeSurgery, 3, 3, 1, 3)
@@ -219,7 +163,6 @@ mod tests {
         assert_ne!(base, ka);
         assert_ne!(base, kb);
         assert_ne!(ka, kb);
-        assert_ne!(map_key(&c, &dead_a, &cfg), map_key(&c, &dead_b, &cfg));
     }
 
     #[test]
@@ -244,6 +187,23 @@ mod tests {
         assert_ne!(base, fleet_key(&c, &shrunk, &cfg, "auto"));
         let masked = ChipFleet::new(vec![small, big.with_defects(&[(0, 0)]).unwrap()]);
         assert_ne!(base, fleet_key(&c, &masked, &cfg, "auto"));
+    }
+
+    /// Keys address entries across daemon restarts and releases, so the
+    /// hashed bytes are pinned: a change here changes every key.
+    #[test]
+    fn key_bytes_are_pinned() {
+        let c = circuit();
+        let chip = Chip::congested(CodeModel::DoubleDefect, 4, 3).unwrap();
+        let cfg = EcmasConfig::default();
+        assert_eq!(
+            full_key(&c, &chip, &cfg, "auto").parts(),
+            (0x5682_05fe_8ca2_7286, 0xcaa0_b5ef_b2b9_2455)
+        );
+        assert_eq!(
+            fleet_key(&c, &ChipFleet::new(vec![chip]), &cfg, "limited").parts(),
+            (0x3614_f9e1_52b9_e0d0, 0xd3ad_2cb4_215f_d7c1)
+        );
     }
 
     #[test]

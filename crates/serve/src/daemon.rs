@@ -9,7 +9,7 @@
 //!
 //! | op       | fields |
 //! |----------|--------|
-//! | `submit` | a circuit source — `"qasm"` (inline source), `"file"` (path), or `"random"` (`{qubits, depth, parallelism, seed}`) — plus optional `"chip"`, `"model"`, `"deadline_ms"`, `"tag"`, `"analyze"` (run the static analyzer; the result line's report carries the diagnostics), and a defect mask: `"defects"` (explicit `"r,c;r,c"` coordinates) or `"defect_percent"` + `"defect_seed"` (seeded random dead tiles, capped so the circuit still fits) |
+//! | `submit` | a circuit source — `"qasm"` (inline source), `"file"` (path), or `"random"` (`{qubits, depth, parallelism, seed}`; `seed` is an integer below 2^53 or a decimal string of any u64) — plus optional `"chip"`, `"model"`, `"deadline_ms"`, `"tag"`, `"analyze"` (run the static analyzer; the result line's report carries the diagnostics), and a defect mask: `"defects"` (explicit `"r,c;r,c"` coordinates) or `"defect_percent"` + `"defect_seed"` (seeded random dead tiles, capped so the circuit still fits) |
 //! | `status` | `"job"` — non-blocking lifecycle probe |
 //! | `cancel` | `"job"` — cooperative cancellation |
 //! | `result` | `"job"` — blocking wait; emits the job's result line now |
@@ -651,7 +651,7 @@ fn apply_defect_fields(mut chip: Chip, request: &Value, qubits: usize) -> Result
         if percent > 100 {
             return Err(format!("defect_percent {percent} exceeds 100"));
         }
-        let seed = request.get("defect_seed").and_then(Value::as_u64).unwrap_or(0);
+        let seed = seed_field(request, "defect_seed")?;
         let slots = chip.tile_slots();
         // Cap the dead count so the circuit still fits: a stress knob
         // should degrade the chip, not reject the job.
@@ -666,6 +666,24 @@ fn apply_defect_fields(mut chip: Chip, request: &Value, qubits: usize) -> Result
         ));
     }
     Ok(chip)
+}
+
+/// Reads an optional 64-bit seed field, exactly. A JSON number carries a
+/// seed only below 2^53: from 2^53 up, distinct integers parse to the
+/// same `f64`. Larger seeds travel as decimal strings, which is how
+/// [`stress_stream`] writes every seed. Absent means seed 0; anything
+/// else is an error naming the field, never a silent 0.
+fn seed_field(object: &Value, key: &str) -> Result<u64, String> {
+    let seed = match object.get(key) {
+        None => Some(0),
+        Some(Value::Str(digits)) if digits.bytes().all(|b| b.is_ascii_digit()) => {
+            digits.parse().ok()
+        }
+        Some(number) => number.as_u64().filter(|&n| n < 1 << 53),
+    };
+    seed.ok_or_else(|| {
+        format!("{key:?} must be an integer below 2^53 or a decimal string of a u64")
+    })
 }
 
 /// A circuit-construction failure: the message every error line
@@ -734,7 +752,7 @@ fn build_circuit(request: &Value) -> Result<Circuit, BuildError> {
         let qubits = field("qubits")?;
         let depth = field("depth")?;
         let parallelism = field("parallelism")?;
-        let seed = random.get("seed").and_then(Value::as_u64).unwrap_or(0);
+        let seed = seed_field(random, "seed")?;
         if parallelism == 0 || 2 * parallelism > qubits || depth == 0 {
             return Err(BuildError::plain(format!(
                 "random source out of range: qubits={qubits} depth={depth} \
@@ -747,8 +765,9 @@ fn build_circuit(request: &Value) -> Result<Circuit, BuildError> {
 }
 
 /// Renders a seeded [`StressWorkload`] as an `ecmasd` input stream:
-/// one `submit` per job (via the `random` source, so the daemon
-/// regenerates the identical circuit), a `cancel` after every
+/// one `submit` per job (via the `random` source, with the 64-bit seed as
+/// a decimal string, so the daemon regenerates the identical circuit), a
+/// `cancel` after every
 /// `cancel_every`-th submit (targeting the job just submitted — it is
 /// honored whenever the job is still queued when the daemon reads the
 /// next line), and a final `drain`.
@@ -756,7 +775,7 @@ fn build_circuit(request: &Value) -> Result<Circuit, BuildError> {
 /// With a nonzero `spec.defect_percent` every submit also carries
 /// `"defect_percent"` and its per-job `"defect_seed"`, so each job's
 /// target chip arrives with that fraction of tiles dead. At `0` (the
-/// default) the emitted stream is byte-identical to the legacy format.
+/// default) submits carry no defect fields.
 #[must_use]
 pub fn stress_stream(
     spec: &StressSpec,
@@ -779,7 +798,7 @@ pub fn stress_stream(
         };
         out.push_str(&format!(
             "{{\"op\":\"submit\",\"tag\":\"stress{i}\",\"random\":{{\"qubits\":{},\
-             \"depth\":{},\"parallelism\":{},\"seed\":{}}}{defects}{deadline}}}\n",
+             \"depth\":{},\"parallelism\":{},\"seed\":\"{}\"}}{defects}{deadline}}}\n",
             job.qubits, job.depth, job.parallelism, job.seed
         ));
         if let Some(every) = cancel_every {
@@ -1082,7 +1101,7 @@ mod tests {
     fn stress_stream_defect_knob_is_optional_and_seeded() {
         let base = StressSpec { jobs: 5, ..StressSpec::new(5, 16, 3) };
         let legacy = stress_stream(&base, None, None);
-        assert!(!legacy.contains("defect"), "0% emits the legacy byte stream");
+        assert!(!legacy.contains("defect"), "0% emits no defect fields");
 
         let spec = StressSpec { defect_percent: 10, ..base };
         let stream = stress_stream(&spec, None, None);
@@ -1102,6 +1121,61 @@ mod tests {
         let summary = json::parse(lines.last().unwrap()).unwrap();
         assert_eq!(summary.get("op").unwrap().as_str(), Some("drained"));
         assert_eq!(summary.get("done").unwrap().as_u64(), Some(5));
+    }
+
+    /// The `ecmasd --emit-stress 1000 --seed 7 --qubits-max 32
+    /// --depth-max 600` stream (the spec below is the one the binary
+    /// builds from those flags) round-trips every 64-bit seed: 1000
+    /// distinct circuits, each the workload's own.
+    #[test]
+    fn emitted_stress_seeds_round_trip_exactly() {
+        let base = StressSpec::new(1000, 32, 7);
+        let spec = StressSpec { max_depth: 600, min_depth: base.min_depth.min(600), ..base };
+        let workload = StressWorkload::new(&spec);
+        assert!(workload.jobs().iter().any(|job| job.seed > 1 << 53), "seeds need 64 bits");
+        let mut distinct = std::collections::HashSet::new();
+        let stream = stress_stream(&spec, None, None);
+        let submits = stream.lines().filter(|line| line.contains("\"submit\""));
+        for (job, line) in workload.jobs().iter().zip(submits) {
+            let request = json::parse(line).expect("valid JSON");
+            let circuit = build_circuit(&request).map_err(|e| e.message).expect("builds");
+            assert!(circuit == job.circuit(), "{line}");
+            let mut h = ecmas_core::stable::StableHasher::new();
+            ecmas_core::stable::write_circuit(&mut h, &circuit);
+            distinct.insert(h.finish());
+        }
+        assert_eq!(distinct.len(), 1000);
+    }
+
+    #[test]
+    fn seeds_are_read_exactly_or_refused() {
+        let build = |seed: &str| {
+            let line = format!(r#"{{"random":{{"qubits":8,"depth":4,"parallelism":2{seed}}}}}"#);
+            build_circuit(&json::parse(&line).unwrap()).map_err(|e| e.message)
+        };
+        let big = u64::MAX - 1;
+        assert!(build(&format!(r#","seed":"{big}""#)).unwrap() == layered(8, 4, 2, big));
+        assert!(build(r#","seed":12"#).unwrap() == layered(8, 4, 2, 12));
+        assert!(build("").unwrap() == layered(8, 4, 2, 0), "absent means seed 0");
+        for bad in [
+            r#","seed":9007199254740992"#,
+            r#","seed":18446744073709551615"#,
+            r#","seed":-1"#,
+            r#","seed":1.5"#,
+            r#","seed":"18446744073709551616""#,
+            r#","seed":"+5""#,
+            r#","seed":"""#,
+            r#","seed":true"#,
+        ] {
+            let err = build(bad).expect_err(bad);
+            assert!(err.contains("\"seed\""), "{bad}: {err}");
+        }
+
+        let mut d = daemon(1);
+        let line = r#"{"op":"submit","random":{"qubits":8,"depth":4,"parallelism":2,"seed":1},"defect_percent":5,"defect_seed":"x"}"#;
+        let resp = json::parse(&d.handle_line(line)[0]).unwrap();
+        assert_eq!(resp.get("op").unwrap().as_str(), Some("error"));
+        assert!(resp.get("error").unwrap().as_str().unwrap().contains("defect_seed"));
     }
 
     #[test]

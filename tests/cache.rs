@@ -1,13 +1,18 @@
 //! Integration tests for the `ecmas-cache` compile cache behind the
 //! service layer: cached results must be bit-identical to cold compiles
 //! (the cache is an optimization, never an answer change), the resident
-//! byte total must respect the budget with real eviction, stage-artifact
-//! reuse must survive schedule-knob changes unchanged, and a burst of
-//! identical jobs must coalesce into exactly one compile.
+//! byte total must respect the budget with real eviction and equal the
+//! byte model over what is resident, a schedule-knob change must miss
+//! and match a cold compile, and a burst of identical jobs must coalesce
+//! into exactly one compile.
 
+use std::sync::Arc;
+
+use ecmas::cache::{estimate_outcome_bytes, full_key, Begin};
 use ecmas::{
-    fingerprint_encoded, CacheSource, CompileOutcome, CompileRequest, CompileService,
-    CutInitStrategy, CutPolicy, EcmasConfig, GateOrder, ScheduleMode, ServiceConfig,
+    fingerprint_encoded, CacheConfig, CacheSource, CompileCache, CompileOutcome, CompileRequest,
+    CompileService, Compiler, CutInitStrategy, CutPolicy, Ecmas, EcmasConfig, GateOrder,
+    ScheduleMode, ServiceConfig,
 };
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::random;
@@ -112,17 +117,16 @@ proptest! {
     }
 }
 
-/// Changing only a schedule-stage knob must reuse the cached profile and
-/// map artifacts (`stage_hits` > 0, source `MapReuse`) and still produce
-/// output bit-identical to a cold compile under the new config.
+/// Changing only a schedule-stage knob is a different full key: the
+/// cache stores nothing per stage, so the request is a plain miss, and
+/// its output is bit-identical to a cold compile under the new config.
 #[test]
-fn stage_artifact_reuse_is_bit_identical_to_cold_compiles() {
+fn schedule_only_knob_changes_miss_and_match_cold_compiles() {
     let circuit = random::layered(14, 10, 4, 0xCAFE);
     let chip = Chip::min_viable(CodeModel::DoubleDefect, 14, 3).unwrap();
     let config_a = EcmasConfig::default();
     // Schedule-only changes: the mapping inputs (location, cut_init) are
-    // untouched, so the map key — and therefore the cached artifacts —
-    // stay valid.
+    // untouched.
     let config_b = EcmasConfig {
         order: GateOrder::CircuitOrder,
         cut_policy: CutPolicy::ChannelFirst,
@@ -138,13 +142,14 @@ fn stage_artifact_reuse_is_bit_identical_to_cold_compiles() {
         .wait()
         .unwrap();
     assert_eq!(warmup.report.cache.source, CacheSource::Miss);
-    let reused = cached
+    let second = cached
         .submit(CompileRequest::new(circuit.clone(), chip.clone()).with_config(config_b))
         .unwrap()
         .wait()
         .unwrap();
-    assert_eq!(reused.report.cache.source, CacheSource::MapReuse);
-    assert!(cached.cache_stats().unwrap().stage_hits >= 1, "map reuse counts as a stage hit");
+    assert_eq!(second.report.cache.source, CacheSource::Miss);
+    let stats = cached.cache_stats().unwrap();
+    assert_eq!((stats.misses, stats.stage_hits, stats.entries), (2, 0, 2), "{stats:?}");
 
     let uncached = service_with_cache(2, 0);
     let cold = uncached
@@ -152,9 +157,9 @@ fn stage_artifact_reuse_is_bit_identical_to_cold_compiles() {
         .unwrap()
         .wait()
         .unwrap();
-    assert_eq!(canonical_report(&reused), canonical_report(&cold));
-    assert_eq!(reused.encoded.events(), cold.encoded.events());
-    assert_eq!(fingerprint_encoded(&reused.encoded), fingerprint_encoded(&cold.encoded));
+    assert_eq!(canonical_report(&second), canonical_report(&cold));
+    assert_eq!(second.encoded.events(), cold.encoded.events());
+    assert_eq!(fingerprint_encoded(&second.encoded), fingerprint_encoded(&cold.encoded));
 }
 
 /// The resident byte estimate never exceeds the configured budget, and a
@@ -183,6 +188,39 @@ fn resident_bytes_respect_the_budget_and_eviction_happens() {
     let stats = service.cache_stats().unwrap();
     assert!(stats.evictions > 0, "12 distinct jobs through {budget} bytes must evict: {stats:?}");
     assert_eq!(stats.misses, 12, "distinct jobs never hit");
+    // Each miss inserts exactly one entry, so what is resident is what
+    // was inserted and not evicted.
+    assert_eq!(stats.entries as u64, stats.misses - stats.evictions, "{stats:?}");
+}
+
+/// The resident byte total is exactly the byte model summed over the
+/// outcomes still resident: nothing else is charged to the budget.
+#[test]
+fn resident_bytes_are_the_model_summed_over_resident_outcomes() {
+    let cache = CompileCache::new(CacheConfig { byte_budget: 16 * 1024 });
+    let chip = Chip::congested(CodeModel::LatticeSurgery, 10, 3).unwrap();
+    let config = EcmasConfig::default();
+    let mut inserted = Vec::new();
+    for seed in 0..12u64 {
+        let circuit = random::layered(10, 8, 3, seed);
+        let key = full_key(&circuit, &chip, &config, "limited");
+        let Begin::Lead(lead) = cache.begin(key) else { panic!("distinct key {seed} must lead") };
+        let outcome = Ecmas::new(config).compile_outcome(&circuit, &chip).unwrap();
+        inserted.push((key, lead.complete(outcome)));
+    }
+    let stats = cache.stats();
+    assert!(stats.evictions > 0, "the budget must force evictions: {stats:?}");
+
+    // Probing a resident key hits without changing residency; probing an
+    // evicted one leads, and dropping that guard inserts nothing.
+    let mut resident = (0usize, 0u64);
+    for (key, outcome) in &inserted {
+        if let Begin::Hit(hit) = cache.begin(*key) {
+            assert!(Arc::ptr_eq(&hit, outcome));
+            resident = (resident.0 + 1, resident.1 + estimate_outcome_bytes(outcome));
+        }
+    }
+    assert_eq!(resident, (stats.entries, stats.resident_bytes), "{stats:?}");
 }
 
 /// A burst of identical jobs on a multi-worker pool runs the compiler

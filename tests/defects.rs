@@ -104,20 +104,27 @@ fn clean_masks_share_cache_entries_and_dirty_masks_do_not() {
         cache_bytes: 16 * 1024 * 1024,
         ..ServiceConfig::default()
     });
-    let source = |chip: &Chip| {
-        let handle = service.submit(CompileRequest::new(circuit.clone(), chip.clone())).unwrap();
-        handle.wait().unwrap().report.cache.source
+    let compile = |chip: &Chip| {
+        service.submit(CompileRequest::new(circuit.clone(), chip.clone())).unwrap().wait().unwrap()
     };
-    assert_eq!(source(&uniform), CacheSource::Miss);
-    assert_eq!(source(&masked_clean), CacheSource::Hit, "clean mask should share the entry");
-    // The defective chip must not reuse the full result — but the
-    // profile stage depends only on the circuit, so the cache correctly
-    // serves *that* artifact and recompiles mapping + scheduling.
+    assert_eq!(compile(&uniform).report.cache.source, CacheSource::Miss);
     assert_eq!(
-        source(&masked_dirty),
-        CacheSource::ProfileReuse,
-        "defects are distinct hardware: full-result reuse would be wrong"
+        compile(&masked_clean).report.cache.source,
+        CacheSource::Hit,
+        "clean mask should share the entry"
     );
+    // The defective chip must not reuse the uniform chip's result: it
+    // misses and compiles exactly what a cold compile on it produces.
+    let dirty = compile(&masked_dirty);
+    assert_eq!(
+        dirty.report.cache.source,
+        CacheSource::Miss,
+        "defects are distinct hardware: reuse would be wrong"
+    );
+    let cold = Ecmas::default().compile_auto(&circuit, &masked_dirty).unwrap();
+    assert_eq!(canonical_report(&dirty), canonical_report(&cold));
+    assert_eq!(dirty.encoded.events(), cold.encoded.events());
+    assert_eq!(fingerprint_encoded(&dirty.encoded), fingerprint_encoded(&cold.encoded));
 }
 
 /// The acceptance sweep: congested qft_n50 with 0%, 5%, and 10% of the
