@@ -92,7 +92,6 @@ struct Inner {
 /// All methods take `&self`; the cache is shared across service workers
 /// behind an `Arc`.
 pub struct CompileCache {
-    config: CacheConfig,
     inner: Mutex<Inner>,
 }
 
@@ -137,7 +136,6 @@ impl CompileCache {
     #[must_use]
     pub fn new(config: CacheConfig) -> Arc<Self> {
         Arc::new(CompileCache {
-            config,
             inner: Mutex::new(Inner {
                 lru: Lru::new(config.byte_budget),
                 inflight: HashMap::new(),
@@ -146,12 +144,6 @@ impl CompileCache {
                 coalesced_waits: 0,
             }),
         })
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Resolves a full-result key: hit, lead, or follow (see the

@@ -767,10 +767,9 @@ fn build_circuit(request: &Value) -> Result<Circuit, BuildError> {
 /// Renders a seeded [`StressWorkload`] as an `ecmasd` input stream:
 /// one `submit` per job (via the `random` source, with the 64-bit seed as
 /// a decimal string, so the daemon regenerates the identical circuit), a
-/// `cancel` after every
-/// `cancel_every`-th submit (targeting the job just submitted — it is
-/// honored whenever the job is still queued when the daemon reads the
-/// next line), and a final `drain`.
+/// `cancel` after every `cancel_every`-th submit (targeting the job just
+/// submitted — it is honored whenever the job is still queued when the
+/// daemon reads the next line), and a final `drain`.
 ///
 /// With a nonzero `spec.defect_percent` every submit also carries
 /// `"defect_percent"` and its per-job `"defect_seed"`, so each job's
