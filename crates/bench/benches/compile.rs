@@ -66,7 +66,11 @@ fn bench_router(c: &mut Criterion) {
                         (from != to).then(|| RouteRequest::route(from, to, 1))
                     })
                     .collect();
-                routed += router.route_ready_by_distance(&requests, cycle).iter().flatten().count();
+                // A fresh outcome buffer per cycle, as the bench has always
+                // measured (the schedulers reuse theirs).
+                let mut outcomes = Vec::with_capacity(requests.len());
+                router.route_ready_by_distance_into(&requests, cycle, &mut outcomes);
+                routed += outcomes.iter().flatten().count();
             }
             routed
         });

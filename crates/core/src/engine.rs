@@ -10,7 +10,7 @@
 //!
 //! Routing goes through the router's batched per-cycle API: each cycle's
 //! unconditional gates (lattice CNOTs, different-cut braids) accumulate
-//! into one [`Router::route_ready`] call, flushed whenever a same-cut
+//! into one [`Router::route_ready_into`] call, flushed whenever a same-cut
 //! gate needs its direct-vs-modify decision (whose M-values read state
 //! the batch updates). Because ready gates are pairwise qubit-disjoint
 //! and the flush preserves priority order, the batched schedule is
@@ -199,7 +199,7 @@ pub fn schedule_limited_shared(
     // Per-cycle routing batch, reused across cycles. Ready gates are
     // pairwise qubit-disjoint (sharing a qubit implies a DAG dependency),
     // so a cycle's unconditional gates can be handed to the router as one
-    // `route_ready` batch; only a same-cut gate forces a flush, because
+    // `route_ready_into` batch; only a same-cut gate forces a flush, because
     // its modify/direct decision reads state the batch updates.
     let mut batch: Vec<RouteRequest> = Vec::new();
     let mut batch_items: Vec<(usize, GateId)> = Vec::new();
@@ -393,7 +393,7 @@ struct FlushCtx<'a> {
 }
 
 /// Routes the pending unconditional batch through
-/// [`Router::route_ready`] and applies the completions (events, qubit
+/// [`Router::route_ready_into`] and applies the completions (events, qubit
 /// release times, DAG bookkeeping) in batch order — the same order and
 /// router-call sequence the per-gate loop used to produce.
 fn flush_routed_batch(ctx: FlushCtx<'_>) {

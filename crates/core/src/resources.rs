@@ -21,7 +21,7 @@ use ecmas_route::RouterStats;
 /// * `profile` — CNOT gates examined by Para-Finding.
 /// * `map` — placement restarts × live tile slots searched.
 /// * `schedule` — router cells expanded + path cells committed +
-///   cells recolored.
+///   cells labeled by the reachability cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageCost {
     /// Profiling work units (CNOT gates examined).

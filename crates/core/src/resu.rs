@@ -144,7 +144,7 @@ struct LayerScratch {
 }
 
 /// Routes every gate of `layer` starting at `cycle`, one
-/// [`Router::route_ready_by_distance`] batch per cycle, spilling blocked
+/// [`Router::route_ready_by_distance_into`] batch per cycle, spilling blocked
 /// gates into follow-up cycles. Returns the first cycle after the layer.
 ///
 /// An empty layer (identity padding in the execution scheme) still

@@ -28,25 +28,28 @@
 //! Failed searches are the congested worst case: when no route exists the
 //! heuristic cannot prune anything and plain A* floods the whole
 //! reachable region before returning `None`. The router therefore keeps a
-//! *reachability cache* — a per-cycle flood-fill coloring of the
-//! available cells into connected regions. Within a clock cycle,
-//! committing reservations only ever *removes* availability, so a
-//! "disconnected" verdict from a coloring taken earlier in the same cycle
-//! can never turn into "connected": provably-unroutable requests are
-//! answered `None` in O(1) without re-flooding. The coloring is computed
-//! lazily — refreshed only when a search exhausts its region without a
-//! cache hit, so uncongested workloads never pay for it — and
-//! [`RouterStats`] counts `failed_searches`, `cache_hits`, and
-//! `recolor_cells` so the hit rate is observable per compilation.
+//! *reachability cache* built from those floods themselves: a search that
+//! exhausts its region stamps every cell it pushed with one fresh label,
+//! and that set is exactly the available component(s) adjacent to its
+//! source. Within a clock cycle, committing reservations only ever
+//! *removes* availability, so two cells connected now were connected when
+//! either was labeled — and any later flood that relabeled one relabeled
+//! the other. A request is therefore provably unroutable, and answered
+//! `None` in O(1), when every available neighbor of one endpoint carries a
+//! live label that no available neighbor of the other endpoint shares.
+//! Labels live for one cycle behind a generation floor (a cycle advance,
+//! [`Router::block_tile`], [`Router::unblock_tile`] and
+//! [`Router::clear_reservations`] raise it), so invalidation costs nothing
+//! and no separate flood ever runs. [`RouterStats`] counts
+//! `failed_searches`, `cache_hits`, and `recolor_cells` (the label writes)
+//! so the hit rate is observable per compilation.
 //!
 //! Schedulers submit each cycle's requests as one batch through
-//! [`Router::route_ready`], which can also order the batch by estimated
-//! distance ([`Router::route_ready_by_distance`]) so short paths are laid
-//! down before long greedy ones block them; the `*_into` variants
-//! ([`Router::route_ready_into`],
-//! [`Router::route_ready_by_distance_into`]) write outcomes into
-//! caller-owned scratch so a scheduler's cycle loop performs no
-//! per-cycle allocation.
+//! [`Router::route_ready_into`], which can also order the batch by
+//! estimated distance ([`Router::route_ready_by_distance_into`]) so short
+//! paths are laid down before long greedy ones block them. Both write
+//! outcomes into caller-owned scratch, so a scheduler's cycle loop
+//! performs no per-cycle allocation.
 //!
 //! Reservations are multi-cycle: a double-defect direct CNOT between equal
 //! cut types holds its path for two cycles, so [`Router::commit`] carries a
@@ -80,12 +83,12 @@ use ecmas_chip::RoutingGrid;
 /// The 4-neighborhood of `cell` on `grid`, `None` where clipped at the
 /// boundary or at a disabled-channel seam (crossable only along an open
 /// perpendicular channel's lanes) — in the fixed up/down/left/right
-/// order that the A* expansion, the reachability flood fill, and the
-/// endpoint region probe must all share: the cache's soundness depends
-/// on the coloring and the search agreeing on adjacency. Seam clipping
-/// lives here (not in the availability predicates) for the same reason:
-/// a step across a bandwidth-0 channel at a tile column is not
-/// congestion, it is a non-edge of the grid.
+/// order that the A* expansion and the reachability cache's endpoint
+/// label probe must share: the cache's soundness depends on the labels
+/// (written by exhausted searches) and the probe agreeing on adjacency.
+/// Seam clipping lives here (not in the availability predicates) for the
+/// same reason: a step across a bandwidth-0 channel at a tile column is
+/// not congestion, it is a non-edge of the grid.
 #[inline]
 fn neighbors4(grid: &RoutingGrid, cell: usize) -> [Option<usize>; 4] {
     let cols = grid.cols();
@@ -145,14 +148,16 @@ pub struct RouterStats {
     /// Each one either flooded the reachable region or was answered by
     /// the reachability cache.
     pub failed_searches: u64,
-    /// Failed searches answered in O(1) by the reachability cache
-    /// instead of flooding the region. `cache_hits / failed_searches`
-    /// is the cache hit rate on a congested workload.
+    /// Failed searches answered in O(1) by the reachability cache — the
+    /// labels earlier exhausted searches of the same cycle left behind —
+    /// instead of flooding the region. `cache_hits / failed_searches` is
+    /// the cache hit rate on a congested workload.
     pub cache_hits: u64,
-    /// Total cells colored by reachability-cache flood fills (the
-    /// amortized cost of the cache: one recoloring per cache-*missed*
-    /// failure, never more than doubling the flood work the exhausted
-    /// search already did, and zero on uncongested workloads).
+    /// Cells labeled by cache-missed failed searches: one label write per
+    /// open-list entry the exhausted search pushed (a cell re-queued with
+    /// a better score counts twice). No separate flood runs, so this is
+    /// the cache's whole upkeep — at most the failed searches' own flood
+    /// work, and zero on uncongested workloads.
     pub recolor_cells: u64,
 }
 
@@ -254,7 +259,7 @@ impl Path {
     }
 }
 
-/// One entry of a per-cycle routing batch for [`Router::route_ready`].
+/// One entry of a per-cycle routing batch for [`Router::route_ready_into`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RouteRequest {
     /// Source tile slot.
@@ -296,9 +301,9 @@ impl RouteRequest {
 /// * A* scratch — epoch-marked visit/score/parent arrays plus a reusable
 ///   bucket-queue open set, so a search performs no allocation beyond the
 ///   returned path.
-/// * reachability cache — a flood-fill coloring of the available cells
-///   into connected regions, valid for one clock cycle, that answers
-///   provably-unroutable searches in O(1).
+/// * reachability cache — per-cell labels left by exhausted searches,
+///   valid for one clock cycle, that answer provably-unroutable searches
+///   in O(1).
 #[derive(Clone, Debug)]
 pub struct Router {
     grid: RoutingGrid,
@@ -320,16 +325,20 @@ pub struct Router {
     buckets: Vec<Vec<u32>>,
     bucket_head: Vec<u32>,
     epoch: u32,
-    // Reachability cache: `region[cell]` is the connected-component id
-    // (0 = unavailable) of the availability graph, computed by a flood
-    // fill at `region_cycle`. Within one cycle reservations only shrink
-    // availability, so "different regions" verdicts stay valid until
-    // the cycle advances; anything that *grows* availability
-    // (cycle advance, unblock, clear) invalidates the coloring.
+    // Reachability cache: `region[cell]` is the label of the last
+    // exhausted search that pushed `cell` — one fresh label per cache-
+    // missed failure, stamped on the search's own open-list entries.
+    // A label is live iff it is ≥ `label_floor`; labels in
+    // `label_floor..next_label` were written at `label_cycle`. Anything
+    // that could *grow* availability (cycle advance, unblock, clear) —
+    // and block, conservatively — raises the floor to `next_label`, so
+    // invalidation never touches the array; only a counter overflow
+    // resets it.
     region: Vec<u32>,
-    region_queue: Vec<u32>,
-    region_cycle: Option<u64>,
-    // Scratch for `route_ready_by_distance*` request ordering.
+    label_floor: u32,
+    next_label: u32,
+    label_cycle: u64,
+    // Scratch for `route_ready_by_distance_into` request ordering.
     order_scratch: Vec<u32>,
     // Highest cycle any search or commit has used — the
     // reservations-start-now invariant that makes search durations
@@ -380,8 +389,9 @@ impl Router {
             bucket_head: vec![0; max_f],
             epoch: 0,
             region: vec![0; n],
-            region_queue: Vec::new(),
-            region_cycle: None,
+            label_floor: 1,
+            next_label: 1,
+            label_cycle: 0,
             order_scratch: Vec::new(),
             watermark: 0,
             stats: RouterStats::default(),
@@ -423,7 +433,7 @@ impl Router {
     pub fn block_tile(&mut self, slot: usize) {
         let cell = self.grid.tile_cell(slot);
         self.blocked[cell] = true;
-        self.region_cycle = None;
+        self.forget_labels();
     }
 
     /// Clears a tile blockage (used when remapping). Dead cells stay
@@ -431,7 +441,7 @@ impl Router {
     pub fn unblock_tile(&mut self, slot: usize) {
         let cell = self.grid.tile_cell(slot);
         self.blocked[cell] = self.grid.is_dead(cell);
-        self.region_cycle = None;
+        self.forget_labels();
     }
 
     /// `true` if the cell currently hosts a logical qubit.
@@ -537,11 +547,16 @@ impl Router {
             self.stats.conflicts += 1;
             return None;
         }
-        // Reachability cache: if a coloring from earlier in this cycle
-        // already proves the endpoints disconnected, the answer is `None`
-        // without any flooding — reservations committed since the
-        // coloring only removed availability, so the verdict holds.
-        if self.region_cycle == Some(cycle) && !self.can_reach(from, to, cycle) {
+        // Reachability cache: if labels from earlier in this cycle already
+        // prove the endpoints disconnected, the answer is `None` without
+        // any flooding — reservations committed since only removed
+        // availability, so the verdict holds. Labels from an earlier
+        // cycle are void (reservations may have expired since).
+        if cycle != self.label_cycle {
+            self.label_cycle = cycle;
+            self.forget_labels();
+        }
+        if self.next_label != self.label_floor && !self.can_reach(from, to, cycle) {
             self.stats.conflicts += 1;
             self.stats.failed_searches += 1;
             self.stats.cache_hits += 1;
@@ -613,20 +628,25 @@ impl Router {
             }
             f += 1;
         }
+        // An exhausted search pushed exactly the available component(s)
+        // adjacent to `from` (plus `from` itself): label them on the way
+        // out, so every repeat of this disconnection within the cycle —
+        // from any source in those components — is answered in O(1).
+        let label = (!found).then(|| self.fresh_label());
         // Reset the touched buckets (cheap: the cursor range only).
         for bucket_f in f_lo..=f_hi {
+            if let Some(label) = label {
+                for &cell in &self.buckets[bucket_f] {
+                    self.region[cell as usize] = label;
+                }
+                self.stats.recolor_cells += self.buckets[bucket_f].len() as u64;
+            }
             self.buckets[bucket_f].clear();
             self.bucket_head[bucket_f] = 0;
         }
         if !found {
             self.stats.conflicts += 1;
             self.stats.failed_searches += 1;
-            // A cache-missed failure means the coloring is absent or
-            // predates the commit that cut this route off — recolor now
-            // (one flood, the same order of work the exhausted search
-            // just did) so every repeat of this disconnection within the
-            // cycle is answered in O(1).
-            self.recolor(cycle);
             return None;
         }
         // Everything still in the open buckets is work the heuristic saved.
@@ -643,82 +663,81 @@ impl Router {
         Some(Path { cells })
     }
 
-    /// Recomputes the reachability coloring for `cycle`: a flood fill
-    /// assigning every *available* cell (traversable as a path interior
-    /// right now) a connected-region id, respecting edge reservations in
-    /// edge mode. Costs one pass over the grid, paid only when a search
-    /// exhausts its region without a cache hit — uncongested schedules
-    /// never trigger it.
-    fn recolor(&mut self, cycle: u64) {
-        self.region.fill(0);
-        let mut queue = std::mem::take(&mut self.region_queue);
-        let mut next_region: u32 = 0;
-        for start in 0..self.grid.len() {
-            if self.region[start] != 0 || !self.cell_available(start, cycle) {
-                continue;
-            }
-            next_region += 1;
-            self.region[start] = next_region;
-            queue.clear();
-            queue.push(u32::try_from(start).expect("grid fits"));
-            while let Some(cur) = queue.pop() {
-                let cur = cur as usize;
-                self.stats.recolor_cells += 1;
-                for next in neighbors4(&self.grid, cur).into_iter().flatten() {
-                    if self.region[next] != 0
-                        || !self.edge_available(cur, next, cycle)
-                        || !self.cell_available(next, cycle)
-                    {
-                        continue;
-                    }
-                    self.region[next] = next_region;
-                    queue.push(u32::try_from(next).expect("grid fits"));
-                }
-            }
-        }
-        self.region_queue = queue;
-        self.region_cycle = Some(cycle);
+    /// Voids every label written so far (O(1): raises the live floor).
+    fn forget_labels(&mut self) {
+        self.label_floor = self.next_label;
     }
 
-    /// O(1) conservative reachability test against the current coloring
-    /// (caller guarantees `region_cycle == Some(cycle)`): `false` only
-    /// when *no* path can exist. Endpoints may be reservation-exempt tile
-    /// cells, so the test works on their available neighbors: a path
-    /// `from, c₁, …, cₖ, to` needs all interior cells in one available
-    /// region adjacent to both endpoints. Availability is probed with the
-    /// *current* predicates (⊆ the coloring's), so any interior cell that
-    /// is usable now already carries a region id — if the endpoint
-    /// neighborhoods share no region, the search cannot succeed.
+    /// A label no cell carries yet. On counter overflow the label array
+    /// is zeroed and numbering restarts — the only full-array write the
+    /// cache ever makes.
+    fn fresh_label(&mut self) -> u32 {
+        if self.next_label == u32::MAX {
+            self.region.fill(0);
+            self.label_floor = 1;
+            self.next_label = 1;
+        }
+        let label = self.next_label;
+        self.next_label += 1;
+        label
+    }
+
+    /// Test seam: restarts label numbering at `label` (voiding every
+    /// label), so counter overflow is reachable without 2³² failures.
+    #[cfg(test)]
+    fn set_next_label(&mut self, label: u32) {
+        assert!(label >= self.next_label, "label numbering only moves forward");
+        self.next_label = label;
+        self.forget_labels();
+    }
+
+    /// O(1) conservative reachability test against this cycle's labels:
+    /// `false` only when *no* path can exist. Endpoints may be
+    /// reservation-exempt tile cells, so the test works on their
+    /// available neighbors: a path `from, c₁, …, cₖ, to` needs `c₁` (next
+    /// to `from`) and `cₖ` (next to `to`) connected through available
+    /// cells, and connected cells carry the same live label whenever
+    /// either carries one (see the module docs). So if every available
+    /// neighbor of one endpoint is labeled and no available neighbor of
+    /// the other shares any of those labels, the search cannot succeed.
+    /// Either endpoint may play the labeled side.
     fn can_reach(&self, from: usize, to: usize, cycle: u64) -> bool {
         // A direct `from → to` hop has no interior; only the edge matters
         // (and the edge must exist — index-adjacency across a seam is no
-        // edge, so such pairs fall through to the region test).
+        // edge, so such pairs fall through to the label test).
         if self.grid.manhattan(from, to) == 1
             && self.grid.step_allowed(from, to)
             && self.edge_available(from, to, cycle)
         {
             return true;
         }
-        let adjacent_regions = |cell: usize| -> [u32; 4] {
-            let mut out = [0u32; 4];
+        debug_assert_eq!(self.label_cycle, cycle, "labels are consulted only in their cycle");
+        // Per direction: `None` = no available neighbor there, `Some(0)` =
+        // an available neighbor without a live label.
+        let adjacent_labels = |cell: usize| -> [Option<u32>; 4] {
+            let mut out = [None; 4];
             for (slot, next) in out.iter_mut().zip(neighbors4(&self.grid, cell)) {
                 let Some(next) = next else { continue };
                 if self.edge_available(cell, next, cycle) && self.cell_available(next, cycle) {
-                    debug_assert!(
-                        self.region[next] != 0,
-                        "available cell must be colored (availability only shrinks in-cycle)"
-                    );
-                    *slot = self.region[next];
+                    let label = self.region[next];
+                    debug_assert!(label < self.next_label, "labels are issued in order");
+                    *slot = Some(if label >= self.label_floor { label } else { 0 });
                 }
             }
             out
         };
-        let from_regions = adjacent_regions(from);
-        if from_regions == [0; 4] {
-            return false;
-        }
-        let to_regions = adjacent_regions(to);
-        to_regions.iter().any(|&region| region != 0 && from_regions.contains(&region))
+        // `labeled` proves separation when all its neighbors carry live
+        // labels and none of `other`'s neighbors carries one of them.
+        let separates = |labeled: &[Option<u32>; 4], other: &[Option<u32>; 4]| {
+            labeled.iter().flatten().all(|&label| label != 0)
+                && !other
+                    .iter()
+                    .flatten()
+                    .any(|&label| label != 0 && labeled.contains(&Some(label)))
+        };
+        let from_labels = adjacent_labels(from);
+        let to_labels = adjacent_labels(to);
+        !separates(&from_labels, &to_labels) && !separates(&to_labels, &from_labels)
     }
 
     /// Reserves a path for `[cycle, cycle + duration)`.
@@ -769,23 +788,16 @@ impl Router {
         Some(path)
     }
 
-    /// Routes one clock cycle's batch of requests, in the order given.
+    /// Routes one clock cycle's batch of requests, in the order given,
+    /// writing the outcomes into caller-owned scratch (cleared first, then
+    /// indexed like `requests`; `None` marks a blocked request).
     ///
     /// Equivalent to looping [`find_tile_path`](Self::find_tile_path) +
     /// [`commit`](Self::commit) per request — earlier requests' commits are
     /// visible to later searches, exactly as in sequential routing — but
     /// hands the router the whole cycle at once, so schedulers stop
-    /// driving the hot path one gate at a time. Outcomes are indexed like
-    /// `requests`; `None` marks a blocked request.
-    pub fn route_ready(&mut self, requests: &[RouteRequest], cycle: u64) -> Vec<Option<Path>> {
-        let mut out = Vec::with_capacity(requests.len());
-        self.route_ready_into(requests, cycle, &mut out);
-        out
-    }
-
-    /// [`route_ready`](Self::route_ready) writing the outcomes into
-    /// caller-owned scratch (cleared first, then indexed like
-    /// `requests`) — the allocation-free form scheduler cycle loops use.
+    /// driving the hot path one gate at a time, and their cycle loops
+    /// reuse one outcome buffer instead of allocating per cycle.
     pub fn route_ready_into(
         &mut self,
         requests: &[RouteRequest],
@@ -796,24 +808,13 @@ impl Router {
         out.extend(requests.iter().map(|req| self.route_one(req, cycle)));
     }
 
-    /// [`route_ready`](Self::route_ready), with the router choosing the
-    /// order: requests are served shortest-estimated-distance first
-    /// (Manhattan between the endpoint tiles, ties in batch order), so a
-    /// long greedy path laid down early cannot block several short ones.
-    /// Outcomes are still indexed by the *original* request positions.
-    pub fn route_ready_by_distance(
-        &mut self,
-        requests: &[RouteRequest],
-        cycle: u64,
-    ) -> Vec<Option<Path>> {
-        let mut out = Vec::with_capacity(requests.len());
-        self.route_ready_by_distance_into(requests, cycle, &mut out);
-        out
-    }
-
-    /// [`route_ready_by_distance`](Self::route_ready_by_distance) writing
-    /// into caller-owned scratch; the ordering permutation lives in
-    /// router-owned scratch, so steady-state batches allocate nothing.
+    /// [`route_ready_into`](Self::route_ready_into), with the router
+    /// choosing the order: requests are served shortest-estimated-distance
+    /// first (Manhattan between the endpoint tiles, ties in batch order),
+    /// so a long greedy path laid down early cannot block several short
+    /// ones. Outcomes are still indexed by the *original* request
+    /// positions. The ordering permutation lives in router-owned scratch,
+    /// so steady-state batches allocate nothing.
     pub fn route_ready_by_distance_into(
         &mut self,
         requests: &[RouteRequest],
@@ -839,10 +840,10 @@ impl Router {
     }
 
     /// The Manhattan lower bound on the path length between two tile
-    /// slots — the estimate [`route_ready_by_distance`] orders by, also
-    /// the A* heuristic.
+    /// slots — the estimate [`route_ready_by_distance_into`] orders by,
+    /// also the A* heuristic.
     ///
-    /// [`route_ready_by_distance`]: Self::route_ready_by_distance
+    /// [`route_ready_by_distance_into`]: Self::route_ready_by_distance_into
     #[must_use]
     pub fn estimated_distance(&self, from_slot: usize, to_slot: usize) -> usize {
         self.grid.manhattan(self.grid.tile_cell(from_slot), self.grid.tile_cell(to_slot))
@@ -863,7 +864,7 @@ impl Router {
         self.edge_free_at.fill(0);
         self.watermark = 0;
         // Availability grew: any cached disconnection verdict is void.
-        self.region_cycle = None;
+        self.forget_labels();
     }
 
     /// Checks that a set of `(path, start, duration)` triples is mutually
@@ -1272,6 +1273,128 @@ mod tests {
         assert_eq!(p.len(), 4, "straight through the unmapped middle slot");
     }
 
+    /// On a one-tile-row chip, a hook path whose interior is the three
+    /// cells of grid column `col`: committing it severs the free ring
+    /// around the tile row at that column.
+    fn column_wall(g: &RoutingGrid, col: usize) -> Path {
+        let cells = [(0, col - 1), (0, col), (1, col), (2, col), (2, col - 1)];
+        Path::from_cells(g, cells.iter().map(|&(row, c)| g.index(row, c)).collect())
+    }
+
+    #[test]
+    fn a_label_answers_failures_from_other_sources_in_its_region() {
+        // Tiles 0,1,2 in a row; a column-4 wall cuts 0 and 1 off from 2.
+        // Tile 0's failed search labels the whole left region, so tile 1
+        // (a different source in that region) fails without a search.
+        let mut r = router(1, 3, 1, Disjointness::Node);
+        for t in 0..3 {
+            r.block_tile(t);
+        }
+        let g = r.grid().clone();
+        r.commit(&column_wall(&g, 4), 0, 1);
+        assert!(r.find_tile_path(0, 2, 0).is_none(), "the wall separates 0 from 2");
+        let flooded = r.stats();
+        assert_eq!(flooded.cache_hits, 0, "the first failure floods");
+        assert!(r.find_tile_path(1, 2, 0).is_none(), "the wall separates 1 from 2");
+        let s = r.stats();
+        assert_eq!(s.cache_hits, 1, "tile 0's labels answer tile 1's failure");
+        assert_eq!(s.cells_expanded, flooded.cells_expanded, "the hit expands nothing");
+        assert_eq!(s.recolor_cells, flooded.recolor_cells, "the hit labels nothing");
+        // Either endpoint may be the labeled side.
+        assert!(r.find_tile_path(2, 1, 0).is_none());
+        assert_eq!(r.stats().cache_hits, 2, "a labeled target side proves it too");
+        // Endpoints sharing the label still search, and route.
+        assert!(r.find_tile_path(0, 1, 0).is_some(), "0 and 1 share the labeled region");
+    }
+
+    #[test]
+    fn an_unlabeled_source_region_searches_instead_of_trusting_labels() {
+        // A column-2 wall cuts tile 0 off from 1 and 2, which stay
+        // connected through column 4. Once tile 0's region is labeled,
+        // 1 → 2 must still search: that none of its endpoints' neighbors
+        // share a label proves nothing when they carry none.
+        let mut r = router(1, 3, 1, Disjointness::Node);
+        for t in 0..3 {
+            r.block_tile(t);
+        }
+        let g = r.grid().clone();
+        r.commit(&column_wall(&g, 2), 0, 1);
+        assert!(r.find_tile_path(0, 1, 0).is_none(), "the wall separates 0 from 1");
+        let labeled = r.stats();
+        assert!(r.find_tile_path(1, 2, 0).is_some(), "1 and 2 share the unlabeled region");
+        assert!(r.stats().cells_expanded > labeled.cells_expanded, "the router searched");
+        // Cut that region too: the next failure is a miss that floods and
+        // labels it, and only its repeat is a hit.
+        r.commit(&column_wall(&g, 4), 0, 1);
+        let before = r.stats();
+        assert!(r.find_tile_path(1, 2, 0).is_none(), "the second wall separates 1 from 2");
+        let missed = r.stats();
+        assert_eq!(missed.cache_hits, before.cache_hits, "an unlabeled source region floods");
+        assert!(missed.cells_expanded > before.cells_expanded);
+        assert!(missed.recolor_cells > before.recolor_cells, "the miss labels its region");
+        assert!(r.find_tile_path(1, 2, 0).is_none());
+        assert_eq!(r.stats().cache_hits, before.cache_hits + 1, "the repeat hits");
+    }
+
+    #[test]
+    fn label_counter_wraparound_clears_stale_labels() {
+        // Start numbering just below the top so the second failure wraps
+        // the counter. The wrap happens a cycle later, when the cycle-0
+        // labels are dead: had it restarted numbering without clearing,
+        // their (huge) values would read as live again and wrongly
+        // disconnect tiles 0 and 1 at cycle 1.
+        let mut r = router(1, 3, 1, Disjointness::Node);
+        for t in 0..3 {
+            r.block_tile(t);
+        }
+        let g = r.grid().clone();
+        r.set_next_label(u32::MAX - 1);
+        r.commit(&column_wall(&g, 2), 0, 1);
+        assert!(r.find_tile_path(0, 1, 0).is_none(), "the wall separates 0 from 1");
+        assert!(r.find_tile_path(0, 1, 0).is_none());
+        assert_eq!(r.stats().cache_hits, 1, "the last label before the wrap answers repeats");
+        // Cycle 1: the wall has expired; a ring around tile 2 boxes it in,
+        // and its failure takes the next label — wrapping the counter.
+        let ring = [(1, 3), (1, 4), (0, 4), (0, 5), (0, 6), (1, 6), (2, 6), (2, 5), (2, 4)];
+        let ring = Path::from_cells(&g, ring.iter().map(|&(row, c)| g.index(row, c)).collect());
+        r.commit(&ring, 1, 1);
+        assert!(r.find_tile_path(2, 0, 1).is_none(), "tile 2 is boxed in");
+        assert_eq!(r.next_label, 2, "the counter wrapped and restarted at label 1");
+        assert!(r.find_tile_path(0, 1, 1).is_some(), "pre-wrap labels must not revive");
+    }
+
+    #[test]
+    fn labels_are_written_exactly_when_a_failure_misses_the_cache() {
+        for mode in [Disjointness::Node, Disjointness::Edge] {
+            let mut r = router(3, 3, 1, mode);
+            for t in 0..9 {
+                r.block_tile(t);
+            }
+            for cycle in 0..3u64 {
+                for k in 0..24u64 {
+                    let (a, b) = (((5 * k + cycle) % 9) as usize, ((7 * k + 3) % 9) as usize);
+                    if a == b {
+                        continue;
+                    }
+                    let before = r.stats();
+                    let _ = r.route_tiles(a, b, cycle, 1 + k % 2);
+                    let after = r.stats();
+                    let missed = after.failed_searches - before.failed_searches
+                        > after.cache_hits - before.cache_hits;
+                    assert_eq!(after.recolor_cells > before.recolor_cells, missed, "{mode:?}");
+                    assert_eq!(
+                        after.recolor_cells > 0,
+                        after.failed_searches > after.cache_hits,
+                        "{mode:?}"
+                    );
+                }
+            }
+            let s = r.stats();
+            assert!(s.cache_hits > 0, "{mode:?}: the sweep hits the cache");
+            assert!(s.failed_searches > s.cache_hits, "{mode:?}: and misses it");
+        }
+    }
+
     #[test]
     fn route_ready_into_reuses_caller_scratch() {
         let reqs =
@@ -1284,8 +1407,10 @@ mod tests {
         }
         let mut out = vec![None; 17]; // stale content must be cleared
         r.route_ready_into(&reqs, 0, &mut out);
-        assert_eq!(out, r2.route_ready(&reqs, 0));
-        let mut out_dist = Vec::new();
+        let mut fresh = Vec::new();
+        r2.route_ready_into(&reqs, 0, &mut fresh);
+        assert_eq!(out, fresh);
+        let mut out_dist = vec![None; 5]; // likewise stale
         let mut r3 = router(2, 2, 1, Disjointness::Node);
         let mut r4 = router(2, 2, 1, Disjointness::Node);
         for t in 0..4 {
@@ -1293,7 +1418,9 @@ mod tests {
             r4.block_tile(t);
         }
         r3.route_ready_by_distance_into(&reqs, 0, &mut out_dist);
-        assert_eq!(out_dist, r4.route_ready_by_distance(&reqs, 0));
+        let mut fresh_dist = Vec::new();
+        r4.route_ready_by_distance_into(&reqs, 0, &mut fresh_dist);
+        assert_eq!(out_dist, fresh_dist);
     }
 
     #[test]
@@ -1398,7 +1525,8 @@ mod tests {
             batched.block_tile(t);
             sequential.block_tile(t);
         }
-        let got = batched.route_ready(&reqs, 0);
+        let mut got = Vec::new();
+        batched.route_ready_into(&reqs, 0, &mut got);
         let want: Vec<Option<Path>> = reqs
             .iter()
             .map(|req| {
@@ -1429,7 +1557,8 @@ mod tests {
             RouteRequest::route(0, 1, 1),
             RouteRequest::route(1, 2, 1),
         ];
-        let out = r.route_ready_by_distance(&reqs, 0);
+        let mut out = Vec::new();
+        r.route_ready_by_distance_into(&reqs, 0, &mut out);
         let short01 = out[1].as_ref().expect("short pair routes");
         let short12 = out[2].as_ref().expect("short pair routes");
         assert_eq!(short01.len(), 2, "served before the long request could block it");
@@ -1538,6 +1667,29 @@ mod edp_tests {
         let p = r.find_tile_path(0, 2, 0).expect("path");
         let mid = r.grid().tile_cell(1);
         assert!(!p.cells().contains(&mid));
+    }
+
+    #[test]
+    fn edge_mode_repeat_failures_hit_the_reachability_cache() {
+        // Lattice surgery reserves edges, not cells: three edge-disjoint
+        // routes saturate the middle column, and every later failure this
+        // cycle — either direction — is answered by the first one's labels.
+        let mut r = ls_router(1, 2, 1);
+        r.block_tile(0);
+        r.block_tile(1);
+        let mut routed = 0;
+        while r.route_tiles(0, 1, 0, 1).is_some() {
+            routed += 1;
+        }
+        assert_eq!(routed, 3, "three edges cross the middle column");
+        let flooded = r.stats();
+        assert_eq!((flooded.failed_searches, flooded.cache_hits), (1, 0));
+        assert!(r.find_tile_path(0, 1, 0).is_none());
+        assert!(r.find_tile_path(1, 0, 0).is_none());
+        let s = r.stats();
+        assert_eq!((s.failed_searches, s.cache_hits), (3, 2), "both repeats hit");
+        assert_eq!(s.cells_expanded, flooded.cells_expanded, "hits expand nothing");
+        assert!(r.find_tile_path(0, 1, 1).is_some(), "the edges free up next cycle");
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Property tests for the A* router: path optimality against a reference
 //! BFS on randomized congestion states, bit-identical equivalence of the
 //! bucket-queue open set to the PR 3 binary-heap A* (paths *and* failed
-//! searches), and the batched per-cycle API's equivalence to sequential
-//! per-gate routing.
+//! searches), the reachability cache's invisibility across interleaved
+//! commits and cycle advances, and the batched per-cycle API's
+//! equivalence to sequential per-gate routing.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
-use ecmas_chip::{Chip, CodeModel};
-use ecmas_route::{Disjointness, Path, RouteRequest, Router};
+use ecmas_chip::{Chip, CodeModel, RoutingGrid};
+use ecmas_route::{Disjointness, Path, RouteRequest, Router, RouterStats};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -117,7 +118,6 @@ fn bfs_len(setup: &CongestedSetup, from_slot: usize, to_slot: usize) -> Option<u
 /// cell sequences — not just lengths — and its exact `None`s.
 fn heap_astar_path(setup: &CongestedSetup, from_slot: usize, to_slot: usize) -> Option<Vec<usize>> {
     let grid = setup.router.grid();
-    let (from, to) = (grid.tile_cell(from_slot), grid.tile_cell(to_slot));
     let cell_ok = |c: usize| {
         !setup.tile_cells.contains(&c)
             && (setup.mode == Disjointness::Edge || !setup.busy_cells.contains(&c))
@@ -125,6 +125,18 @@ fn heap_astar_path(setup: &CongestedSetup, from_slot: usize, to_slot: usize) -> 
     let edge_ok = |a: usize, b: usize| {
         setup.mode == Disjointness::Node || !setup.busy_edges.contains(&(a.min(b), a.max(b)))
     };
+    heap_astar(grid, grid.tile_cell(from_slot), grid.tile_cell(to_slot), cell_ok, edge_ok)
+}
+
+/// The replica's search itself, over caller-supplied availability
+/// predicates: `cell_ok` for path interiors, `edge_ok` for steps.
+fn heap_astar(
+    grid: &RoutingGrid,
+    from: usize,
+    to: usize,
+    cell_ok: impl Fn(usize) -> bool,
+    edge_ok: impl Fn(usize, usize) -> bool,
+) -> Option<Vec<usize>> {
     let (cols, rows) = (grid.cols(), grid.rows());
     let (to_r, to_c) = grid.coords(to);
     let manhattan = |cell: usize| -> u64 {
@@ -188,8 +200,128 @@ fn heap_astar_path(setup: &CongestedSetup, from_slot: usize, to_slot: usize) -> 
     Some(cells)
 }
 
+/// One seeded op sequence on a random chip with dead tiles: probes,
+/// commits (hold 1–2) and cycle advances, interleaved. Every verdict —
+/// cells or `None` — is checked against the cache-free heap replica run on
+/// a reservation mirror kept outside the router (first free cycle per
+/// cell and per edge). Panics on the first disagreement; returns the
+/// router's counters, so callers can check the sequence exercised the
+/// cache.
+fn check_interleaved_sequence(
+    rows: usize,
+    cols: usize,
+    bw: u32,
+    node_mode: bool,
+    dead: usize,
+    seed: u64,
+) -> RouterStats {
+    let (model, mode) = if node_mode {
+        (CodeModel::DoubleDefect, Disjointness::Node)
+    } else {
+        (CodeModel::LatticeSurgery, Disjointness::Edge)
+    };
+    let mut chip = Chip::uniform(model, rows, cols, bw, 3).unwrap();
+    chip.seed_defects(dead, seed);
+    let mut router = Router::new(chip.grid(), mode);
+    let grid = chip.grid();
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5E9_CACE);
+    let live: Vec<usize> = (0..rows * cols).filter(|&s| !chip.is_dead(s)).collect();
+    let mut mapped: Vec<usize> = live.iter().copied().filter(|_| rng.gen_bool(0.8)).collect();
+    if mapped.len() < 2 {
+        mapped = live.iter().copied().take(2).collect();
+    }
+    if mapped.len() < 2 {
+        return router.stats(); // nothing left to route between
+    }
+    // Never-traversable cells: mapped tiles and dead tiles.
+    let mut walls: HashSet<usize> = (0..grid.len()).filter(|&c| grid.is_dead(c)).collect();
+    for &slot in &mapped {
+        router.block_tile(slot);
+        walls.insert(grid.tile_cell(slot));
+    }
+    let mut node_free_at: HashMap<usize, u64> = HashMap::new();
+    let mut edge_free_at: HashMap<(usize, usize), u64> = HashMap::new();
+    let mut cycle = 0u64;
+    for step in 0..48 {
+        let op = rng.gen_range(0..10);
+        if op < 2 {
+            cycle += 1;
+            continue;
+        }
+        let a = mapped[rng.gen_range(0..mapped.len())];
+        let b = mapped[rng.gen_range(0..mapped.len())];
+        if a == b {
+            continue;
+        }
+        let cell_ok = |c: usize| {
+            !walls.contains(&c)
+                && (mode == Disjointness::Edge || node_free_at.get(&c).is_none_or(|&t| t <= cycle))
+        };
+        let edge_ok = |x: usize, y: usize| {
+            mode == Disjointness::Node
+                || edge_free_at.get(&(x.min(y), x.max(y))).is_none_or(|&t| t <= cycle)
+        };
+        let want = heap_astar(&grid, grid.tile_cell(a), grid.tile_cell(b), cell_ok, edge_ok);
+        let got = router.find_tile_path(a, b, cycle);
+        assert_eq!(
+            got.as_ref().map(|p| p.cells().to_vec()),
+            want,
+            "{mode:?} step {step} cycle {cycle}: {a}->{b} \
+             (rows={rows} cols={cols} bw={bw} dead={dead} seed={seed})"
+        );
+        if let Some(path) = got.filter(|_| op >= 6) {
+            let until = cycle + rng.gen_range(1u64..3);
+            router.commit(&path, cycle, until - cycle);
+            for &c in path.interior() {
+                let t = node_free_at.entry(c).or_default();
+                *t = (*t).max(until);
+            }
+            for w in path.cells().windows(2) {
+                let t = edge_free_at.entry((w[0].min(w[1]), w[0].max(w[1]))).or_default();
+                *t = (*t).max(until);
+            }
+        }
+    }
+    let stats = router.stats();
+    assert_eq!(stats.recolor_cells > 0, stats.failed_searches > stats.cache_hits);
+    stats
+}
+
+/// The interleaved-sequence property is only as strong as the cache work
+/// it provokes: over a fixed seed sweep it must see both failures answered
+/// by labels and failures that flood.
+#[test]
+fn interleaved_sequences_exercise_the_reachability_cache() {
+    let mut total = RouterStats::default();
+    for seed in 0..40u64 {
+        let node_mode = seed % 2 == 0;
+        let stats = check_interleaved_sequence(3, 3, 1, node_mode, (seed % 3) as usize, seed);
+        total = total.merged(stats);
+    }
+    assert!(total.cache_hits > 0, "labels answer failures: {total:?}");
+    assert!(total.failed_searches > total.cache_hits, "misses flood and label: {total:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The reachability cache never changes a verdict: on seeded
+    /// sequences interleaving probes, commits and cycle advances, on
+    /// random chips with dead tiles, in both disjointness modes, every
+    /// answer equals the cache-free reference. Unlike the single-state
+    /// properties below, commits land between probes, so regions split
+    /// after they were labeled and later failures relabel the pieces.
+    #[test]
+    fn cached_verdicts_match_the_reference_across_commits_and_cycles(
+        rows in 1usize..5,
+        cols in 1usize..5,
+        bw in 1u32..3,
+        node_mode in 0u8..2,
+        dead in 0usize..3,
+        seed in 0u64..10_000,
+    ) {
+        check_interleaved_sequence(rows, cols, bw, node_mode == 1, dead, seed);
+    }
 
     /// The bucket-queue open set is the old binary heap, bit for bit: on
     /// every randomized congestion state the router returns exactly the
@@ -272,7 +404,7 @@ proptest! {
         }
     }
 
-    /// `route_ready` is event-for-event the sequential per-gate loop:
+    /// `route_ready_into` is event-for-event the sequential per-gate loop:
     /// same outcomes at the same positions, same router statistics, and
     /// the same reservation state afterwards (probed via a follow-up
     /// search).
@@ -303,7 +435,8 @@ proptest! {
                 })
             })
             .collect();
-        let got = batched.route_ready(&requests, 0);
+        let mut got = Vec::new();
+        batched.route_ready_into(&requests, 0, &mut got);
         let want: Vec<Option<Path>> = requests
             .iter()
             .map(|req| {
@@ -326,7 +459,7 @@ proptest! {
         }
     }
 
-    /// `route_ready_by_distance` equals stable-sorting the batch by the
+    /// `route_ready_by_distance_into` equals stable-sorting the batch by the
     /// router's own distance estimate, routing sequentially in that
     /// order, and scattering the outcomes back to the original positions.
     #[test]
@@ -349,7 +482,8 @@ proptest! {
                 (a != b).then(|| RouteRequest::route(a, b, 1))
             })
             .collect();
-        let got = batched.route_ready_by_distance(&requests, 0);
+        let mut got = Vec::new();
+        batched.route_ready_by_distance_into(&requests, 0, &mut got);
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.sort_by_key(|&i| {
             sequential.estimated_distance(requests[i].from_slot, requests[i].to_slot)
