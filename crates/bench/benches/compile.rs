@@ -3,9 +3,10 @@
 //! pipeline's stages should each stay cheap at benchmark scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ecmas::mapping::determine_shape;
 use ecmas::{
     compile_jobs, para_finding, BatchJob, CompileRequest, CompileService, Ecmas, EcmasConfig,
-    ServiceConfig,
+    LocationStrategy, ServiceConfig,
 };
 use ecmas_baselines::{AutoBraid, Edpci};
 use ecmas_chip::{Chip, CodeModel};
@@ -28,6 +29,24 @@ fn bench_placement(c: &mut Criterion) {
         comm.edges().iter().map(|e| (e.a, e.b, u64::from(e.weight))),
     );
     c.bench_function("placement/qft_n10_4x4", |b| b.iter(|| place(&graph, 4, 4, 4, 7)));
+
+    // One stress job's map stage: a 32-qubit layered circuit shaped like
+    // the congested stress mix (dense comm graph), placed on the region
+    // shape determining picks on the congested chip, default 8 restarts.
+    let stress = random::layered(32, 120, 8, 0x5EED);
+    let comm = stress.comm_graph();
+    let graph = WeightedGraph::from_edges(
+        comm.qubits(),
+        comm.edges().iter().map(|e| (e.a, e.b, u64::from(e.weight))),
+    );
+    let chip = Chip::congested(CodeModel::LatticeSurgery, 32, 3).unwrap();
+    let region = determine_shape(&chip, 32).unwrap();
+    let LocationStrategy::Ecmas { restarts, seed } = EcmasConfig::default().location else {
+        unreachable!("the default location strategy is the Ecmas placer")
+    };
+    c.bench_function("placement/stress_n32_congested", |b| {
+        b.iter(|| place(&graph, region.rows, region.cols, restarts, seed))
+    });
 }
 
 fn bench_router(c: &mut Criterion) {

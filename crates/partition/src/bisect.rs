@@ -11,6 +11,14 @@ use crate::graph::WeightedGraph;
 /// (swap the best pair, lock, keep the best prefix) until a pass yields no
 /// gain. Deterministic given the RNG state.
 ///
+/// Pair weights come from one dense `n × n` table shared by every pass,
+/// so each lookup is `O(1)`. Each swap step sorts the unlocked vertices of
+/// both sides by `D` (external − internal weight), `O(n log n)`, and scans
+/// pairs in that order until the bound `D[a] + D[b]` falls strictly below
+/// the best gain `D[a] + D[b] − 2·w(a, b)` found so far; weights are
+/// non-negative, so no skipped pair can beat it. Equal gains go to the
+/// lexicographically smallest `(a, b)`.
+///
 /// # Panics
 ///
 /// Panics if `left_size > graph.len()`.
@@ -47,9 +55,16 @@ pub fn bisect(graph: &WeightedGraph, left_size: usize, rng: &mut impl Rng) -> Ve
         side[v] = false;
     }
 
+    let mut weight = vec![0i64; n * n];
+    for a in 0..n {
+        for &(b, w) in graph.neighbors(a) {
+            weight[a * n + b] = i64::try_from(w).unwrap_or(i64::MAX);
+        }
+    }
+
     // KL improvement passes.
     loop {
-        let gain = kl_pass(graph, &mut side);
+        let gain = kl_pass(graph, &weight, &mut side);
         if gain <= 0 {
             break;
         }
@@ -58,8 +73,8 @@ pub fn bisect(graph: &WeightedGraph, left_size: usize, rng: &mut impl Rng) -> Ve
 }
 
 /// One KL pass; mutates `side` if a positive-gain prefix exists and returns
-/// the committed gain.
-fn kl_pass(graph: &WeightedGraph, side: &mut [bool]) -> i64 {
+/// the committed gain. `weight` is the dense pair-weight table.
+fn kl_pass(graph: &WeightedGraph, weight: &[i64], side: &mut [bool]) -> i64 {
     let n = graph.len();
     // D[v] = external − internal incident weight.
     let mut d = vec![0i64; n];
@@ -77,27 +92,27 @@ fn kl_pass(graph: &WeightedGraph, side: &mut [bool]) -> i64 {
     let mut locked = vec![false; n];
     let mut trial = side.to_vec();
     let mut swaps: Vec<(usize, usize, i64)> = Vec::new();
-    let pair_count =
-        trial.iter().filter(|&&s| !s).count().min(trial.iter().filter(|&&s| s).count());
+    let mut left: Vec<usize> = (0..n).filter(|&v| !trial[v]).collect();
+    let mut right: Vec<usize> = (0..n).filter(|&v| trial[v]).collect();
+    let pair_count = left.len().min(right.len());
 
     for _ in 0..pair_count {
         // Best unlocked (left, right) pair by gain = D[a] + D[b] − 2·w(a,b).
+        left.retain(|&v| !locked[v]);
+        right.retain(|&v| !locked[v]);
+        left.sort_unstable_by_key(|&v| (std::cmp::Reverse(d[v]), v));
+        right.sort_unstable_by_key(|&v| (std::cmp::Reverse(d[v]), v));
         let mut best: Option<(usize, usize, i64)> = None;
-        for a in 0..n {
-            if locked[a] || trial[a] {
-                continue;
+        for &a in &left {
+            if best.is_some_and(|(_, _, g)| d[a] + d[right[0]] < g) {
+                break;
             }
-            for b in 0..n {
-                if locked[b] || !trial[b] {
-                    continue;
+            for &b in &right {
+                if best.is_some_and(|(_, _, g)| d[a] + d[b] < g) {
+                    break;
                 }
-                let w_ab = graph
-                    .neighbors(a)
-                    .iter()
-                    .find(|&&(u, _)| u == b)
-                    .map_or(0i64, |&(_, w)| i64::try_from(w).unwrap_or(i64::MAX));
-                let gain = d[a] + d[b] - 2 * w_ab;
-                if best.is_none_or(|(_, _, g)| gain > g) {
+                let gain = d[a] + d[b] - 2 * weight[a * n + b];
+                if best.is_none_or(|(ba, bb, g)| gain > g || (gain == g && (a, b) < (ba, bb))) {
                     best = Some((a, b, gain));
                 }
             }

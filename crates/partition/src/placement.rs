@@ -128,6 +128,7 @@ pub fn place_masked(
     let live = forbidden.iter().filter(|&&f| !f).count();
     assert!(n <= live, "{n} qubits do not fit in {live} live slots of a {rows}×{cols} array");
     let mut best: Option<Placement> = None;
+    let mut index_of = vec![usize::MAX; n];
     for r in 0..restarts.max(1) {
         let mut rng =
             SmallRng::seed_from_u64(seed.wrapping_add(r as u64).wrapping_mul(0x9E37_79B9));
@@ -143,6 +144,7 @@ pub fn place_masked(
             cols,
             slot_of.as_mut_slice(),
             forbidden,
+            &mut index_of,
             &mut rng,
         );
         if refine_pass {
@@ -158,6 +160,8 @@ pub fn place_masked(
 
 /// Recursively bisects `qubits` into the slot region `[r0,r1)×[c0,c1)`,
 /// sizing the halves by their *live* (non-forbidden) slot counts.
+/// `qubits` is strictly increasing, and `index_of` is the all-`usize::MAX`
+/// scratch [`WeightedGraph::induced`] borrows at every node.
 #[allow(clippy::too_many_arguments)]
 fn recurse(
     graph: &WeightedGraph,
@@ -169,6 +173,7 @@ fn recurse(
     cols: usize,
     slot_of: &mut [usize],
     forbidden: &[bool],
+    index_of: &mut [usize],
     rng: &mut SmallRng,
 ) {
     if qubits.is_empty() {
@@ -209,25 +214,15 @@ fn recurse(
     ka = ka.min(a_slots).max(k.saturating_sub(b_slots));
 
     // Bisect the induced subgraph.
-    let mut index_of = vec![usize::MAX; graph.len()];
-    for (i, &q) in qubits.iter().enumerate() {
-        index_of[q] = i;
-    }
-    let sub_edges =
-        graph.edges().iter().filter_map(|&(a, b, w)| match (index_of[a], index_of[b]) {
-            (ia, ib) if ia != usize::MAX && ib != usize::MAX => Some((ia, ib, w)),
-            _ => None,
-        });
-    let sub = WeightedGraph::from_edges(k, sub_edges);
-    let side = bisect(&sub, ka, rng);
+    let side = bisect(&graph.induced(qubits, index_of), ka, rng);
 
     let left: Vec<usize> =
         qubits.iter().enumerate().filter(|&(i, _)| !side[i]).map(|(_, &q)| q).collect();
     let right: Vec<usize> =
         qubits.iter().enumerate().filter(|&(i, _)| side[i]).map(|(_, &q)| q).collect();
     let ((ar0, ar1, ac0, ac1), (br0, br1, bc0, bc1)) = regions;
-    recurse(graph, &left, ar0, ar1, ac0, ac1, cols, slot_of, forbidden, rng);
-    recurse(graph, &right, br0, br1, bc0, bc1, cols, slot_of, forbidden, rng);
+    recurse(graph, &left, ar0, ar1, ac0, ac1, cols, slot_of, forbidden, index_of, rng);
+    recurse(graph, &right, br0, br1, bc0, bc1, cols, slot_of, forbidden, index_of, rng);
 }
 
 /// Best-improvement local search: swap two qubits or move a qubit to a free
@@ -236,12 +231,14 @@ fn recurse(
 /// The cost deltas are evaluated through per-qubit *attraction profiles*:
 /// Manhattan distance separates into row and column terms, so the weighted
 /// distance from a candidate slot `(r, c)` to all of `q`'s neighbors is
-/// `A_q(r) + B_q(c)`, and both profiles come from a weighted histogram of
-/// the neighbors' current rows/columns in two prefix passes. Each round
-/// then costs `O(E + n·(rows + cols) + n·slots)` instead of a graph scan
-/// per candidate, while producing the *same integers* — and therefore the
-/// same move sequence and final mapping — as the naive
-/// `Σ w·(d(to, s_u) − d(from, s_u))` evaluation.
+/// `A_q(r) + B_q(c)`. The profiles are built once, from a weighted
+/// histogram of the neighbors' rows/columns in two prefix passes, and then
+/// kept current: a qubit moving `from → to` shifts each neighbor's row
+/// profile by `w·(|r − row(to)| − |r − row(from)|)`, and likewise its
+/// column profile. Each round then costs `O(deg·(rows + cols) + n·slots)`
+/// instead of a graph scan per candidate, while producing the *same
+/// integers* — and therefore the same move sequence and final mapping —
+/// as the naive `Σ w·(d(to, s_u) − d(from, s_u))` evaluation.
 fn refine(
     graph: &WeightedGraph,
     rows: usize,
@@ -287,18 +284,19 @@ fn refine(
         }
     }
 
-    for _round in 0..4 * n.max(1) {
-        for q in 0..n {
-            row_hist.fill(0);
-            col_hist.fill(0);
-            for &(u, w) in graph.neighbors(q) {
-                let s = slot_of[u];
-                row_hist[s / cols] += clamp(w);
-                col_hist[s % cols] += clamp(w);
-            }
-            fill_profile(&row_hist, &mut row_profile[q * rows..(q + 1) * rows]);
-            fill_profile(&col_hist, &mut col_profile[q * cols..(q + 1) * cols]);
+    for q in 0..n {
+        row_hist.fill(0);
+        col_hist.fill(0);
+        for &(u, w) in graph.neighbors(q) {
+            let s = slot_of[u];
+            row_hist[s / cols] += clamp(w);
+            col_hist[s % cols] += clamp(w);
         }
+        fill_profile(&row_hist, &mut row_profile[q * rows..(q + 1) * rows]);
+        fill_profile(&col_hist, &mut col_profile[q * cols..(q + 1) * cols]);
+    }
+
+    for _round in 0..4 * n.max(1) {
         let attraction = |q: usize, slot: usize| -> i64 {
             row_profile[q * rows + slot / cols] + col_profile[q * cols + slot % cols]
         };
@@ -344,6 +342,28 @@ fn refine(
                     occupant[from] = Some(p);
                 } else {
                     occupant[from] = None;
+                }
+                // Each moved qubit `x` shifts its neighbors' profiles by
+                // `w·(|x − to| − |x − from|)` per coordinate.
+                let moves =
+                    [(q, from, target)].into_iter().chain(partner.map(|p| (p, target, from)));
+                for (x, from, to) in moves {
+                    let ((rf, cf), (rt, ct)) = ((from / cols, from % cols), (to / cols, to % cols));
+                    for &(u, w) in graph.neighbors(x) {
+                        let w = clamp(w);
+                        if rf != rt {
+                            let row = &mut row_profile[u * rows..(u + 1) * rows];
+                            for (r, a) in row.iter_mut().enumerate() {
+                                *a += w * (r.abs_diff(rt) as i64 - r.abs_diff(rf) as i64);
+                            }
+                        }
+                        if cf != ct {
+                            let col = &mut col_profile[u * cols..(u + 1) * cols];
+                            for (c, b) in col.iter_mut().enumerate() {
+                                *b += w * (c.abs_diff(ct) as i64 - c.abs_diff(cf) as i64);
+                            }
+                        }
+                    }
                 }
             }
             _ => break,
