@@ -63,20 +63,16 @@ pub fn layered(n: usize, depth: usize, parallelism: usize, seed: u64) -> Circuit
             let pos = pool.iter().position(|&q| q == a).expect("anchor in pool");
             pool.swap(0, pos);
         }
-        let mut layer = Vec::with_capacity(parallelism);
+        let mut first = (0, 0);
         for k in 0..parallelism {
             let (x, y) = (pool[2 * k], pool[2 * k + 1]);
-            if rng.gen_bool(0.5) {
-                layer.push((x, y));
-            } else {
-                layer.push((y, x));
+            let pair = if rng.gen_bool(0.5) { (x, y) } else { (y, x) };
+            c.cnot(pair.0, pair.1);
+            if k == 0 {
+                first = pair;
             }
         }
-        for &(ctl, tgt) in &layer {
-            c.cnot(ctl, tgt);
-        }
-        let (a0, a1) = layer[0];
-        anchor = Some(if rng.gen_bool(0.5) { a0 } else { a1 });
+        anchor = Some(if rng.gen_bool(0.5) { first.0 } else { first.1 });
     }
     c
 }
@@ -495,6 +491,43 @@ mod tests {
     fn stress_rejects_defect_rate_over_100() {
         let _ =
             StressWorkload::new(&StressSpec { defect_percent: 101, ..StressSpec::new(4, 10, 0) });
+    }
+
+    /// FNV-1a over everything a circuit carries: width, name, op stream
+    /// and CNOT list.
+    fn fingerprint(c: &Circuit) -> u64 {
+        let text = format!("{} {} {:?} {:?}", c.qubits(), c.name(), c.ops(), c.cnot_gates());
+        text.bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    #[test]
+    fn generated_circuits_are_pinned() {
+        // Pinned from the generator before it pushed pairs straight into
+        // the circuit: any change to the RNG draw order moves these.
+        let layered_pins = [
+            ((4, 1, 1, 0), 0x5c92_758b_7989_a484),
+            ((16, 10, 4, 42), 0x1290_5dce_5c1c_2b86),
+            ((49, 50, 7, 12345), 0x3a7e_67f7_7579_50b3),
+            ((49, 50, 24, 7), 0x8847_f5cb_cdf6_d772),
+            ((33, 600, 16, 0xDEAD_BEEF), 0x71db_2460_0318_0240),
+        ];
+        for ((n, depth, pm, seed), want) in layered_pins {
+            let got = fingerprint(&layered(n, depth, pm, seed));
+            assert_eq!(got, want, "layered({n}, {depth}, {pm}, {seed:#x}) = {got:#x}");
+        }
+        let w = StressWorkload::new(&StressSpec::new(1000, 32, 7));
+        let stress_pins = [
+            (0, 0x1c92_5d35_c9fa_35c7),
+            (1, 0xf838_9a1e_4be8_168a),
+            (17, 0x504a_871f_fe24_a619),
+            (500, 0xf799_107f_d951_f2c0),
+            (999, 0x7d0d_d3b5_7689_8ce9),
+        ];
+        for (index, want) in stress_pins {
+            let got = fingerprint(&w.circuit(index));
+            assert_eq!(got, want, "stress circuit {index} = {got:#x}");
+        }
     }
 
     #[test]

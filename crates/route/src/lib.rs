@@ -44,6 +44,25 @@
 //! `failed_searches`, `cache_hits`, and `recolor_cells` (the label writes)
 //! so the hit rate is observable per compilation.
 //!
+//! On congested chips the side a failed search floods is usually the
+//! large one: the *target* sits walled into a pocket of a few cells by
+//! this cycle's reservations. So a search that has expanded 32 cells
+//! without reaching `to` proves failure from the small side, the way
+//! bidirectional search (Pohl, 1971) meets in the middle — but only to
+//! prove that no path exists. One flood from `to`, over the same
+//! adjacency and availability predicates and never re-entering `to`,
+//! collects at most 16 cells. It gives up as soon as it steps onto
+//! `from` or onto a cell the A* pushed (either shows a route exists, and
+//! the A* must still pick it), or would exceed its budget; the A* then
+//! resumes exactly where it paused, so every found path is unchanged. A
+//! flood that runs dry has collected every available cell connected to
+//! `to`: a union of whole available components, none of them adjacent to
+//! `from` (a path's first interior cell would be), so no route exists.
+//! Only that pocket, plus `to`, takes the fresh label — whole components
+//! carry one label, which is all the cache's soundness argument needs.
+//! A search whose proof gives up, or that exhausts before the trigger,
+//! still labels its own flood as above.
+//!
 //! Schedulers submit each cycle's requests as one batch through
 //! [`Router::route_ready_into`], which can also order the batch by
 //! estimated distance ([`Router::route_ready_by_distance_into`]) so short
@@ -79,6 +98,14 @@
 #![warn(missing_docs)]
 
 use ecmas_chip::RoutingGrid;
+
+/// A* expansions after which a search still short of its target tries to
+/// prove failure from the target's side.
+const POCKET_TRIGGER: u64 = 32;
+
+/// Most cells the target-side flood collects (besides the target itself)
+/// before it gives up and lets the A* continue.
+const POCKET_BUDGET: usize = 16;
 
 /// The 4-neighborhood of `cell` on `grid`, `None` where clipped at the
 /// boundary or at a disabled-channel seam (crossable only along an open
@@ -128,7 +155,9 @@ pub struct RouterStats {
     /// Failed path searches — the congestion/conflict count: every `None`
     /// means the current reservations blocked all routes.
     pub conflicts: u64,
-    /// Total A* cells expanded across all searches (search effort).
+    /// Total cells expanded across all searches (search effort): A*
+    /// expansions plus the cells whose neighbors a target-side pocket
+    /// flood scanned, the target included.
     pub cells_expanded: u64,
     /// Open-list entries left unexpanded when a search found its target
     /// (superseded duplicate entries included) — an upper bound on the
@@ -154,10 +183,12 @@ pub struct RouterStats {
     /// the cache hit rate on a congested workload.
     pub cache_hits: u64,
     /// Cells labeled by cache-missed failed searches: one label write per
-    /// open-list entry the exhausted search pushed (a cell re-queued with
-    /// a better score counts twice). No separate flood runs, so this is
-    /// the cache's whole upkeep — at most the failed searches' own flood
-    /// work, and zero on uncongested workloads.
+    /// open-list entry an exhausted search pushed (a cell re-queued with a
+    /// better score counts twice), or, for a failure proven from the
+    /// target's side, one per pocket cell plus the target. Every
+    /// cache-missed failure writes at least one label. No separate flood
+    /// runs, so this is the cache's whole upkeep — at most the failed
+    /// searches' own flood work, and zero on uncongested workloads.
     pub recolor_cells: u64,
 }
 
@@ -301,9 +332,9 @@ impl RouteRequest {
 /// * A* scratch — epoch-marked visit/score/parent arrays plus a reusable
 ///   bucket-queue open set, so a search performs no allocation beyond the
 ///   returned path.
-/// * reachability cache — per-cell labels left by exhausted searches,
-///   valid for one clock cycle, that answer provably-unroutable searches
-///   in O(1).
+/// * reachability cache — per-cell labels left by exhausted searches and
+///   proven target pockets, valid for one clock cycle, that answer
+///   provably-unroutable searches in O(1).
 #[derive(Clone, Debug)]
 pub struct Router {
     grid: RoutingGrid,
@@ -326,8 +357,9 @@ pub struct Router {
     bucket_head: Vec<u32>,
     epoch: u32,
     // Reachability cache: `region[cell]` is the label of the last
-    // exhausted search that pushed `cell` — one fresh label per cache-
-    // missed failure, stamped on the search's own open-list entries.
+    // cache-missed failure that covered `cell` — one fresh label per
+    // failure, stamped on the exhausted search's own open-list entries or
+    // on the target pocket that proved it.
     // A label is live iff it is ≥ `label_floor`; labels in
     // `label_floor..next_label` were written at `label_cycle`. Anything
     // that could *grow* availability (cycle advance, unblock, clear) —
@@ -528,7 +560,10 @@ impl Router {
     /// f = g + h, and h is exactly the remaining-distance bound every
     /// alternative still has to pay). FIFO tie-breaking on equal f keeps
     /// expansion order — and therefore the chosen path among equally short
-    /// ones — deterministic.
+    /// ones — deterministic. A search that runs past
+    /// `POCKET_TRIGGER` expansions pauses once for the target-side
+    /// failure proof (see the module docs); a proof that fails leaves the
+    /// search state untouched.
     ///
     /// # Panics
     ///
@@ -580,7 +615,9 @@ impl Router {
         self.buckets[f_lo].push(u32::try_from(from).expect("grid fits"));
         let mut f_hi = f_lo; // highest bucket touched (for cleanup)
         let mut open_len: u64 = 1; // entries pushed and not yet popped
+        let mut expanded: u64 = 0;
         let mut found = false;
+        let mut proven = false;
         let mut f = f_lo;
         'sweep: while f <= f_hi {
             // New entries can land in this same bucket mid-sweep (a step
@@ -596,6 +633,7 @@ impl Router {
                     continue; // stale entry: the cell was re-queued with a better g
                 }
                 self.stats.cells_expanded += 1;
+                expanded += 1;
                 for next in neighbors4(&self.grid, cur).into_iter().flatten() {
                     if !self.edge_available(cur, next, cycle) {
                         continue;
@@ -625,14 +663,19 @@ impl Router {
                 if found {
                     break 'sweep;
                 }
+                if expanded == POCKET_TRIGGER && self.pocket_is_closed(from, to, cycle) {
+                    proven = true;
+                    break 'sweep;
+                }
             }
             f += 1;
         }
         // An exhausted search pushed exactly the available component(s)
         // adjacent to `from` (plus `from` itself): label them on the way
         // out, so every repeat of this disconnection within the cycle —
-        // from any source in those components — is answered in O(1).
-        let label = (!found).then(|| self.fresh_label());
+        // from any source in those components — is answered in O(1). A
+        // proven pocket has labeled itself instead.
+        let label = (!found && !proven).then(|| self.fresh_label());
         // Reset the touched buckets (cheap: the cursor range only).
         for bucket_f in f_lo..=f_hi {
             if let Some(label) = label {
@@ -661,6 +704,58 @@ impl Router {
         self.stats.paths_found += 1;
         self.stats.path_cells += cells.len() as u64;
         Some(Path { cells })
+    }
+
+    /// The target-side failure proof: floods the available cells connected
+    /// to `to` (never re-entering `to`), at most `POCKET_BUDGET` of them.
+    /// Gives up — `false`, having written nothing but the expansion count
+    /// — as soon as the flood steps onto `from` or onto a cell this
+    /// search's A* pushed, or would exceed the budget. A flood that runs
+    /// dry holds whole available components that no path from `from` can
+    /// enter, so no route exists: the pocket and `to` take one fresh label
+    /// and the answer is `true`.
+    fn pocket_is_closed(&mut self, from: usize, to: usize, cycle: u64) -> bool {
+        let mut pocket = [0u32; POCKET_BUDGET];
+        let (mut len, mut head) = (0, 0);
+        let mut cur = to;
+        loop {
+            self.stats.cells_expanded += 1;
+            for next in neighbors4(&self.grid, cur).into_iter().flatten() {
+                if next == to || !self.edge_available(cur, next, cycle) {
+                    continue;
+                }
+                if next == from {
+                    return false;
+                }
+                if !self.cell_available(next, cycle) {
+                    continue;
+                }
+                if self.visit_epoch[next] == self.epoch {
+                    return false;
+                }
+                let next = u32::try_from(next).expect("grid fits in u32");
+                if pocket[..len].contains(&next) {
+                    continue;
+                }
+                if len == POCKET_BUDGET {
+                    return false;
+                }
+                pocket[len] = next;
+                len += 1;
+            }
+            if head == len {
+                break;
+            }
+            cur = pocket[head] as usize;
+            head += 1;
+        }
+        let label = self.fresh_label();
+        self.region[to] = label;
+        for &cell in &pocket[..len] {
+            self.region[cell as usize] = label;
+        }
+        self.stats.recolor_cells += len as u64 + 1;
+        true
     }
 
     /// Voids every label written so far (O(1): raises the live floor).
@@ -1393,6 +1488,109 @@ mod tests {
             assert!(s.cache_hits > 0, "{mode:?}: the sweep hits the cache");
             assert!(s.failed_searches > s.cache_hits, "{mode:?}: and misses it");
         }
+    }
+
+    /// Reserves `cells` (grid coordinates) at cycle 0 for one cycle.
+    fn reserve(r: &mut Router, cells: &[(usize, usize)]) {
+        for &(row, col) in cells {
+            let cell = r.grid().index(row, col);
+            r.node_free_at[cell] = 1;
+        }
+    }
+
+    /// A 4×9 chip (19 grid columns) with every tile mapped, its target
+    /// tile 0 at grid cell (1,1) walled into a pocket of the first `m`
+    /// cells of grid row 0: the target's other neighbors, the pocket's
+    /// channel cells below and the row-0 cell after it are reserved. The
+    /// source, tile 35 in the opposite corner, keeps the rest of the chip.
+    fn walled_target(m: usize) -> Router {
+        let mut r = router(4, 9, 1, Disjointness::Node);
+        for t in 0..36 {
+            r.block_tile(t);
+        }
+        let mut wall = vec![(1, 0), (1, 2), (2, 1), (0, m)];
+        wall.extend((0..m).filter(|c| c % 2 == 0).map(|c| (1, c)));
+        reserve(&mut r, &wall);
+        r
+    }
+
+    // The two budget tests spell the 16-cell budget out, so an
+    // off-by-one budget fails one of them instead of moving both.
+
+    #[test]
+    fn a_walled_in_target_is_proven_from_its_pocket() {
+        let mut r = walled_target(16);
+        assert!(r.find_tile_path(35, 0, 0).is_none(), "the pocket is sealed");
+        let s = r.stats();
+        assert_eq!((s.failed_searches, s.cache_hits), (1, 0));
+        assert_eq!(s.recolor_cells, 16 + 1, "only the pocket and the target are labeled");
+        assert_eq!(
+            s.cells_expanded,
+            POCKET_TRIGGER + 16 + 1,
+            "the A* paused at the trigger; the flood scanned the target and its pocket"
+        );
+        let label = r.region[r.grid().tile_cell(0)];
+        assert!(label >= r.label_floor, "the target carries a live label");
+        for col in 0..16 {
+            assert_eq!(r.region[r.grid().index(0, col)], label, "pocket cell (0,{col})");
+        }
+        assert!(r.find_tile_path(35, 0, 0).is_none());
+        assert!(r.find_tile_path(0, 35, 0).is_none(), "either direction");
+        let repeat = r.stats();
+        assert_eq!((repeat.failed_searches, repeat.cache_hits), (3, 2), "repeats hit the cache");
+        assert_eq!(repeat.cells_expanded, s.cells_expanded, "and expand nothing");
+        assert!(r.find_tile_path(35, 0, 1).is_some(), "the walls expire after cycle 0");
+    }
+
+    #[test]
+    fn a_pocket_one_cell_over_budget_falls_back_to_the_astar() {
+        let mut r = walled_target(16 + 1);
+        assert!(r.find_tile_path(35, 0, 0).is_none(), "the pocket is sealed");
+        let s = r.stats();
+        assert_eq!((s.failed_searches, s.cache_hits), (1, 0));
+        assert!(
+            s.recolor_cells > POCKET_TRIGGER,
+            "the flood gave up, so the A* exhausted and labeled the source's side: {s:?}"
+        );
+        let source_label = r.region[r.grid().index(8, 18)];
+        assert!(source_label >= r.label_floor, "the far corner was flooded");
+        assert_ne!(r.region[r.grid().index(0, 0)], source_label, "the pocket was not");
+        assert!(r.find_tile_path(35, 0, 0).is_none());
+        assert_eq!(r.stats().cache_hits, 1, "the source side's labels answer the repeat");
+    }
+
+    #[test]
+    fn the_pocket_flood_gives_up_at_the_source_and_at_searched_cells() {
+        // Tiles 0 and 1 mapped on a 1×2 chip, every channel cell but the
+        // one between them reserved: the target's pocket is that cell.
+        let mut r = router(1, 2, 1, Disjointness::Node);
+        r.block_tile(0);
+        r.block_tile(1);
+        let g = r.grid().clone();
+        let between = g.index(1, 2);
+        for cell in 0..g.len() {
+            if g.is_free(cell) && cell != between {
+                r.node_free_at[cell] = 1;
+            }
+        }
+        let (from, to) = (g.tile_cell(0), g.tile_cell(1));
+        // A search epoch in which the A* has pushed nothing: the source
+        // check alone must stop the flood (the source is a mapped tile,
+        // so the availability test would skip it).
+        r.epoch += 1;
+        let mut probe = r.clone();
+        assert!(!probe.pocket_is_closed(from, to, 0), "the pocket touches the source");
+        assert_eq!(probe.next_label, r.next_label, "a flood that gives up labels nothing");
+        assert_eq!(probe.stats.cells_expanded, 2, "it scanned the target and the pocket cell");
+        // From a source the pocket does not touch, it is closed...
+        let elsewhere = g.index(0, 0);
+        assert!(r.clone().pocket_is_closed(elsewhere, to, 0));
+        // ...unless the A* already pushed a pocket cell.
+        r.visit_epoch[between] = r.epoch;
+        let mut probe = r.clone();
+        assert!(!probe.pocket_is_closed(elsewhere, to, 0), "a searched cell ends the flood");
+        assert_eq!(probe.next_label, r.next_label);
+        assert_eq!(probe.region, r.region);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! BFS on randomized congestion states, bit-identical equivalence of the
 //! bucket-queue open set to the PR 3 binary-heap A* (paths *and* failed
 //! searches), the reachability cache's invisibility across interleaved
-//! commits and cycle advances, and the batched per-cycle API's
-//! equivalence to sequential per-gate routing.
+//! commits and cycle advances, the target-side failure proof on
+//! walled-in targets, and the batched per-cycle API's equivalence to
+//! sequential per-gate routing.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -287,6 +288,204 @@ fn check_interleaved_sequence(
     stats
 }
 
+/// Reserves `cells` at cycle 0 until `until` by committing one-cell hook
+/// paths (in node mode a path reserves only its interior), mirroring
+/// each reservation into `node_free_at`.
+fn reserve_cells(
+    router: &mut Router,
+    node_free_at: &mut HashMap<usize, u64>,
+    cells: impl IntoIterator<Item = usize>,
+    until: u64,
+) {
+    let grid = router.grid().clone();
+    for cell in cells {
+        let hook = grid.neighbors(cell).next().expect("every cell has a neighbor");
+        router.commit(&Path::from_cells(&grid, vec![hook, cell, hook]), 0, until);
+        let t = node_free_at.entry(cell).or_default();
+        *t = (*t).max(until);
+    }
+}
+
+/// A target tucked into a small pocket that opens onto the cells the
+/// search from the far corner sweeps first. On a 4×5 chip with every tile
+/// mapped, tile 0 (grid cell (1,1)) is reachable only through row 0's
+/// corner and a corridor down grid column 0 to (4,1); the direct steps
+/// (1,2) and (2,1) are walled off. Every monotone route from tile 19 at
+/// (7,9) dead-ends at that wall, so the A* passes its pause with the
+/// route still open. The target-side flood then walks the corridor into
+/// cells the A* has already pushed and must give up: the search resumes
+/// and returns the reference replica's path, cell for cell.
+#[test]
+fn a_pocket_open_to_the_searched_side_matches_the_heap_replica() {
+    let chip = Chip::uniform(CodeModel::DoubleDefect, 4, 5, 1, 3).unwrap();
+    let grid = chip.grid();
+    let mut router = Router::new(grid.clone(), Disjointness::Node);
+    for slot in 0..20 {
+        router.block_tile(slot);
+    }
+    let mut node_free_at = HashMap::new();
+    let wall = [(1, 2), (2, 1), (0, 2), (5, 0)].map(|(r, c)| grid.index(r, c));
+    reserve_cells(&mut router, &mut node_free_at, wall, 1);
+    let (from, to) = (grid.tile_cell(19), grid.tile_cell(0));
+    let want = heap_astar(
+        &grid,
+        from,
+        to,
+        |c| grid.is_free(c) && node_free_at.get(&c).is_none_or(|&t| t == 0),
+        |_, _| true,
+    );
+    let want = want.expect("the corridor connects the target");
+    let got = router.find_cell_path(from, to, 0).expect("the router finds it too");
+    assert_eq!(got.cells(), want.as_slice());
+    let stats = router.stats();
+    assert!(stats.cells_expanded > 32, "the search ran past the pause: {stats:?}");
+    assert_eq!((stats.failed_searches, stats.recolor_cells), (0, 0), "and labeled nothing");
+}
+
+/// [`check_interleaved_sequence`] around a walled-in target. A random
+/// connected set of up to `pocket` routable cells is grown from a mapped
+/// target tile and sealed until the sequence ends: node mode reserves
+/// every routable cell on its rim, edge mode every edge leaving it. Half
+/// the requests then aim at the target, interleaved with commits and
+/// cycle advances, and every verdict is checked against the heap replica
+/// on a mirror of the reservations. Returns the router's counters and the
+/// number of failures proven from the target's side: cache misses whose
+/// expansions exceed their label writes by exactly the router's 32-step
+/// pause (the A* before it, the pocket's scan after).
+fn check_enclosed_pocket_sequence(
+    rows: usize,
+    cols: usize,
+    bw: u32,
+    node_mode: bool,
+    pocket: usize,
+    seed: u64,
+) -> (RouterStats, u64) {
+    let (model, mode) = if node_mode {
+        (CodeModel::DoubleDefect, Disjointness::Node)
+    } else {
+        (CodeModel::LatticeSurgery, Disjointness::Edge)
+    };
+    let chip = Chip::uniform(model, rows, cols, bw, 3).unwrap();
+    let grid = chip.grid();
+    let mut router = Router::new(grid.clone(), mode);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x90C_4E75);
+    let mut mapped: Vec<usize> = (0..rows * cols).filter(|_| rng.gen_bool(0.8)).collect();
+    if mapped.len() < 2 {
+        mapped = vec![0, rows * cols - 1];
+    }
+    let mut walls = HashSet::new();
+    for &slot in &mapped {
+        router.block_tile(slot);
+        walls.insert(grid.tile_cell(slot));
+    }
+    let target = mapped[rng.gen_range(0..mapped.len())];
+    let to = grid.tile_cell(target);
+    // Grow the pocket one random routable rim cell at a time.
+    let mut inside = vec![to];
+    let rim = |inside: &[usize]| -> Vec<(usize, usize)> {
+        let mut rim: Vec<(usize, usize)> = inside
+            .iter()
+            .flat_map(|&x| grid.neighbors(x).map(move |y| (x, y)))
+            .filter(|&(_, y)| !inside.contains(&y))
+            .collect();
+        rim.sort_unstable();
+        rim
+    };
+    while inside.len() <= pocket {
+        let open: Vec<usize> =
+            rim(&inside).into_iter().map(|(_, y)| y).filter(|y| !walls.contains(y)).collect();
+        if open.is_empty() {
+            break;
+        }
+        inside.push(open[rng.gen_range(0..open.len())]);
+    }
+    let seal = 1_000;
+    let mut node_free_at: HashMap<usize, u64> = HashMap::new();
+    let mut edge_free_at: HashMap<(usize, usize), u64> = HashMap::new();
+    for (x, y) in rim(&inside) {
+        if node_mode {
+            if !walls.contains(&y) && !node_free_at.contains_key(&y) {
+                reserve_cells(&mut router, &mut node_free_at, [y], seal);
+            }
+        } else {
+            router.commit(&Path::from_cells(&grid, vec![x, y]), 0, seal);
+            edge_free_at.insert((x.min(y), x.max(y)), seal);
+        }
+    }
+    let (mut cycle, mut proofs) = (0u64, 0u64);
+    for step in 0..48 {
+        let op = rng.gen_range(0..10);
+        if op < 2 {
+            cycle += 1;
+            continue;
+        }
+        let a = mapped[rng.gen_range(0..mapped.len())];
+        let b = if rng.gen_bool(0.5) { target } else { mapped[rng.gen_range(0..mapped.len())] };
+        if a == b {
+            continue;
+        }
+        let cell_ok = |c: usize| {
+            !walls.contains(&c)
+                && (mode == Disjointness::Edge || node_free_at.get(&c).is_none_or(|&t| t <= cycle))
+        };
+        let edge_ok = |x: usize, y: usize| {
+            mode == Disjointness::Node
+                || edge_free_at.get(&(x.min(y), x.max(y))).is_none_or(|&t| t <= cycle)
+        };
+        let want = heap_astar(&grid, grid.tile_cell(a), grid.tile_cell(b), cell_ok, edge_ok);
+        let before = router.stats();
+        let got = router.find_tile_path(a, b, cycle);
+        assert_eq!(
+            got.as_ref().map(|p| p.cells().to_vec()),
+            want,
+            "{mode:?} step {step} cycle {cycle}: {a}->{b} (rows={rows} cols={cols} bw={bw} \
+             pocket={pocket} seed={seed})"
+        );
+        let after = router.stats();
+        let missed =
+            after.failed_searches - before.failed_searches > after.cache_hits - before.cache_hits;
+        let expanded = after.cells_expanded - before.cells_expanded;
+        let labeled = after.recolor_cells - before.recolor_cells;
+        if missed && expanded == labeled + 32 {
+            proofs += 1;
+        }
+        if let Some(path) = got.filter(|_| op >= 6) {
+            let until = cycle + rng.gen_range(1u64..3);
+            router.commit(&path, cycle, until - cycle);
+            for &c in path.interior() {
+                let t = node_free_at.entry(c).or_default();
+                *t = (*t).max(until);
+            }
+            for w in path.cells().windows(2) {
+                let t = edge_free_at.entry((w[0].min(w[1]), w[0].max(w[1]))).or_default();
+                *t = (*t).max(until);
+            }
+        }
+    }
+    let stats = router.stats();
+    assert_eq!(stats.recolor_cells > 0, stats.failed_searches > stats.cache_hits);
+    (stats, proofs)
+}
+
+/// The enclosed-pocket property must provoke what it exists for: over a
+/// fixed sweep of pocket sizes around the 16-cell flood budget, failures
+/// proven from the target's side, and failures the A* has to flood.
+#[test]
+fn enclosed_pockets_exercise_the_target_side_proof() {
+    let (mut proofs, mut total) = (0, RouterStats::default());
+    for seed in 0..40u64 {
+        let pocket = [0, 3, 9, 16, 17, 24][seed as usize % 6];
+        let (stats, proven) = check_enclosed_pocket_sequence(5, 5, 1, seed % 2 == 0, pocket, seed);
+        proofs += proven;
+        total = total.merged(stats);
+    }
+    assert!(proofs > 0, "target pockets prove failures: {total:?}");
+    assert!(
+        total.failed_searches > total.cache_hits + proofs,
+        "and some failures still flood: {proofs} proofs, {total:?}"
+    );
+}
+
 /// The interleaved-sequence property is only as strong as the cache work
 /// it provokes: over a fixed seed sweep it must see both failures answered
 /// by labels and failures that flood.
@@ -497,5 +696,25 @@ proptest! {
         }
         prop_assert_eq!(got, want);
         prop_assert_eq!(batched.stats(), sequential.stats());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Proving failures from a walled-in target's side never changes a
+    /// verdict: with target pockets of every size around the flood
+    /// budget, on random chips in both disjointness modes, every answer
+    /// equals the heap replica's, across commits and cycle advances.
+    #[test]
+    fn enclosed_target_pockets_match_the_heap_replica(
+        rows in 2usize..6,
+        cols in 2usize..6,
+        bw in 1u32..3,
+        node_mode in 0u8..2,
+        pocket in 0usize..24,
+        seed in 0u64..10_000,
+    ) {
+        check_enclosed_pocket_sequence(rows, cols, bw, node_mode == 1, pocket, seed);
     }
 }
